@@ -77,7 +77,7 @@ func main() {
 	// The scale ablation is not part of -all: the 5k-node cells take long
 	// enough that CI runs them as a dedicated job.
 	if *ablation == "scale" {
-		run("Scale (sharded event core)", func(r *BenchReport) error {
+		run("Scale (event core)", func(r *BenchReport) error {
 			return scale(r, *minNodesPerSec, *minNodesPerSecOLSR, *maxAllocsPerRx)
 		})
 	}
@@ -114,7 +114,7 @@ func main() {
 }
 
 // scale sweeps network size with OLSR and AODV live on every node — the
-// thousand-node regime the sharded event core exists for. Frame counts and
+// thousand-node regime the event core exists for. Frame counts and
 // route liveness are deterministic (virtual clock + seeds) and gated by the
 // committed BENCH_scale.json baseline; throughput and allocation rate are
 // host measurements gated by the absolute -minNodesPerSec / -maxAllocsPerRx

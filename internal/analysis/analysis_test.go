@@ -37,10 +37,6 @@ func TestAtomicstatsFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "atomicfix", analysis.Atomicstats)
 }
 
-func TestEpochpurityFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", "emunet", analysis.Epochpurity)
-}
-
 func TestBlockingpubFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "telemetry", analysis.Blockingpub)
 }
@@ -105,8 +101,8 @@ func TestMalformedDirectivesReported(t *testing.T) {
 
 func TestSuiteShape(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

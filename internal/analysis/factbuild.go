@@ -9,11 +9,11 @@ import (
 
 // This file builds the interprocedural layer the transitive analyzers stand
 // on: a module-local call graph plus per-function summaries ("may emit",
-// "may allocate", "may block", "may violate epoch purity", "may sink into
-// ordered output", "returns map-order-tainted data"). Summaries are computed
-// per package — seeded from the fact files of imported packages, closed over
-// the package's own call graph by a monotone fixpoint — and exported through
-// mkvet's VetxOutput so `go vet -vettool` propagates them across packages.
+// "may allocate", "may block", "may sink into ordered output", "returns
+// map-order-tainted data"). Summaries are computed per package — seeded
+// from the fact files of imported packages, closed over the package's own
+// call graph by a monotone fixpoint — and exported through mkvet's
+// VetxOutput so `go vet -vettool` propagates them across packages.
 //
 // A summary records an example call path down to the primitive operation, so
 // a diagnostic at a call site can show the whole offending chain:
@@ -32,18 +32,16 @@ const (
 	primEmit primKind = iota
 	primAlloc
 	primBlock
-	primImpure
 	primSink
 )
 
 // primAnalyzer names the analyzer whose //mk:allow suppresses facts of each
 // kind at their primitive site.
 var primAnalyzer = map[primKind]string{
-	primEmit:   "lockemit",
-	primAlloc:  "hotalloc",
-	primBlock:  "blockingpub",
-	primImpure: "epochpurity",
-	primSink:   "maporder",
+	primEmit:  "lockemit",
+	primAlloc: "hotalloc",
+	primBlock: "blockingpub",
+	primSink:  "maporder",
 }
 
 // primEvent is one primitive operation observed in a function body.
@@ -235,10 +233,6 @@ func seedFact(node *funcNode) FuncFact {
 			if f.Block == nil {
 				f.Block = []string{ev.desc}
 			}
-		case primImpure:
-			if f.Impure == nil {
-				f.Impure = []string{ev.desc}
-			}
 		case primSink:
 			if f.Sink == nil {
 				f.Sink = []string{ev.desc}
@@ -294,10 +288,6 @@ func (fx *Facts) fixpoint() {
 				}
 				if cur.Block == nil && cf.Block != nil && !edgeAllowed(primBlock, call.pos) {
 					cur.Block = append([]string{step}, cf.Block...)
-					changed = true
-				}
-				if cur.Impure == nil && cf.Impure != nil && !edgeAllowed(primImpure, call.pos) {
-					cur.Impure = append([]string{step}, cf.Impure...)
 					changed = true
 				}
 				if cur.Sink == nil && cf.Sink != nil && !edgeAllowed(primSink, call.pos) {
@@ -366,7 +356,6 @@ func (c *collector) walk(n ast.Node, commExempt bool) {
 	switch s := n.(type) {
 	case *ast.GoStmt:
 		c.add(primAlloc, s.Pos(), "go statement")
-		c.add(primImpure, s.Pos(), "go statement (spawns a goroutine)")
 		// Arguments evaluate in this goroutine; the function body does not.
 		for _, a := range s.Call.Args {
 			if _, ok := ast.Unparen(a).(*ast.FuncLit); !ok {
@@ -449,8 +438,6 @@ func (c *collector) walk(n ast.Node, commExempt bool) {
 		return
 	case *ast.AssignStmt:
 		c.collectAssign(s)
-	case *ast.IncDecStmt:
-		c.checkSharedWrite(s.X, s.Pos())
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			switch e := ast.Unparen(r).(type) {
@@ -473,12 +460,9 @@ func (c *collector) walk(n ast.Node, commExempt bool) {
 	}
 }
 
-// collectAssign handles shared-state write detection and maporder taint
-// bookkeeping for one assignment, then lets the generic walk descend.
+// collectAssign handles maporder taint bookkeeping for one assignment,
+// then lets the generic walk descend.
 func (c *collector) collectAssign(s *ast.AssignStmt) {
-	for _, lhs := range s.Lhs {
-		c.checkSharedWrite(lhs, s.Pos())
-	}
 	if len(s.Lhs) != len(s.Rhs) {
 		return
 	}
@@ -527,32 +511,6 @@ func (n *funcNode) inMapRange(pos token.Pos) bool {
 	return false
 }
 
-// checkSharedWrite flags writes whose destination chain passes through the
-// shared event-core state (emunet.Network / emunet.engine): the prep phase
-// of a parallel epoch must treat both as read-only.
-func (c *collector) checkSharedWrite(lhs ast.Expr, pos token.Pos) {
-	for {
-		switch e := ast.Unparen(lhs).(type) {
-		case *ast.SelectorExpr:
-			if t := c.info.TypeOf(e.X); t != nil && isSharedEngineType(t) {
-				c.add(primImpure, pos, fmt.Sprintf("writes shared engine state (%s.%s)", types.ExprString(e.X), e.Sel.Name))
-				return
-			}
-			lhs = e.X
-		case *ast.IndexExpr:
-			lhs = e.X
-		case *ast.StarExpr:
-			lhs = e.X
-		default:
-			return
-		}
-	}
-}
-
-func isSharedEngineType(t types.Type) bool {
-	return namedIn(t, "emunet", "Network") || namedIn(t, "emunet", "engine")
-}
-
 // collectCall records the resolved call site and classifies the callee
 // against every primitive surface.
 func (c *collector) collectCall(call *ast.CallExpr) {
@@ -586,19 +544,12 @@ func (c *collector) collectCall(call *ast.CallExpr) {
 
 	if desc, ok := emitEntry(fn); ok {
 		c.add(primEmit, call.Pos(), desc)
-		c.add(primImpure, call.Pos(), desc)
 	}
 	if desc, ok := blockingCall(c.info, call, fn); ok {
 		c.add(primBlock, call.Pos(), desc)
 	}
-	if desc, ok := impureCall(fn); ok {
-		c.add(primImpure, call.Pos(), desc)
-	}
 	if desc, ok := sinkCall(fn); ok {
 		c.add(primSink, call.Pos(), desc)
-	}
-	if desc, ok := sharedLockCall(c.info, call, fn); ok {
-		c.add(primImpure, call.Pos(), desc)
 	}
 	// sort/slices calls clear maporder taint on their slice argument.
 	if fn.Pkg() != nil && (fn.Pkg().Path() == "sort" || fn.Pkg().Path() == "slices") && recvNamed(fn) == nil {
@@ -710,59 +661,6 @@ func lockExprString(call *ast.CallExpr) string {
 		return types.ExprString(sel.X)
 	}
 	return "lock"
-}
-
-// impureCall reports callees the parallel epoch-prep phase may never reach:
-// randomness, timer scheduling, wall-clock reads and trace recording. (Emit
-// entry points and shared-state writes are classified separately.)
-func impureCall(fn *types.Func) (string, bool) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	recv := recvNamed(fn)
-	switch pkg.Path() {
-	case "math/rand", "math/rand/v2":
-		return "math/rand." + fn.Name() + " (RNG draw)", true
-	case "time":
-		if recv == nil && wallClockFuncs[fn.Name()] {
-			return "time." + fn.Name(), true
-		}
-	}
-	if pkgIs(pkg, "vclock") {
-		switch fn.Name() {
-		case "AfterFunc", "AfterFuncAt", "NewPeriodic":
-			return shortFuncName(fn) + " (schedules a timer)", true
-		}
-	}
-	if recv != nil && pkgIs(recv.Obj().Pkg(), "trace") && recv.Obj().Name() == "Tracer" && fn.Name() == "Record" {
-		return "(trace.Tracer).Record (shared ring write)", true
-	}
-	return "", false
-}
-
-// sharedLockCall flags Lock/Unlock on the event core's own mutexes: the
-// prep phase must not touch the network lock at all.
-func sharedLockCall(info *types.Info, call *ast.CallExpr, fn *types.Func) (string, bool) {
-	if fn.Name() != "Lock" && fn.Name() != "RLock" {
-		return "", false
-	}
-	recv := recvNamed(fn)
-	if recv == nil || recv.Obj().Pkg() == nil || recv.Obj().Pkg().Path() != "sync" {
-		return "", false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fieldSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	if t := info.TypeOf(fieldSel.X); t != nil && isSharedEngineType(t) {
-		return fmt.Sprintf("locks %s (shared engine mutex)", types.ExprString(sel.X)), true
-	}
-	return "", false
 }
 
 // sinkCall reports callees that feed order-sensitive deterministic outputs:

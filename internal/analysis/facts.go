@@ -32,10 +32,6 @@ type FuncFact struct {
 	// Block: the function may (transitively) block — channel operations
 	// outside select-with-default, non-telemetry lock acquisition, I/O.
 	Block []string `json:"block,omitempty"`
-	// Impure: the function may (transitively) violate parallel epoch-prep
-	// purity — mutate shared engine state, draw randomness, schedule
-	// timers, record trace spans, or emit.
-	Impure []string `json:"impure,omitempty"`
 	// Sink: the function may (transitively) feed data into an
 	// order-sensitive deterministic output (telemetry publish, trace
 	// record, NDJSON/hash/writer encoders).
@@ -47,7 +43,7 @@ type FuncFact struct {
 
 func (f FuncFact) empty() bool {
 	return f.Emit == nil && f.Alloc == nil && f.Block == nil &&
-		f.Impure == nil && f.Sink == nil && !f.MapOrdered
+		f.Sink == nil && !f.MapOrdered
 }
 
 // FactSet maps a function's full name (types.Func.FullName, e.g.

@@ -173,12 +173,11 @@ func TestObservabilityOverheadGuard(t *testing.T) {
 		t.Log("running overhead guard in short mode")
 	}
 
-	// Cost of one uninstrumented dispatch (provider -> requirer, inline).
-	dispatch := testing.Benchmark(BenchmarkEmitDirect)
-	perDispatch := float64(dispatch.NsPerOp())
-	if perDispatch <= 0 {
-		t.Skip("benchmark resolution too coarse on this platform")
-	}
+	// Each cost is the fastest of a few interleaved runs: on a shared
+	// host a single run can be slowed by a neighbour, and the minimum is
+	// the estimate least distorted by that interference. The 5% bound is
+	// applied unchanged to the two minima.
+	const rounds = 3
 
 	// Cost of the checks the instrumentation adds per dispatch. With the
 	// RCU dispatch plans the disabled steady-state path never calls an
@@ -199,7 +198,7 @@ func TestObservabilityOverheadGuard(t *testing.T) {
 	// 1024 sites per benchmark op amortise the loop bookkeeping below the
 	// 1ns NsPerOp resolution; scale back down to the 8-site model.
 	const sitesPerOp = 1024
-	nilSite := testing.Benchmark(func(b *testing.B) {
+	nilSites := func(b *testing.B) {
 		n := 0
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < sitesPerOp; s++ {
@@ -211,8 +210,22 @@ func TestObservabilityOverheadGuard(t *testing.T) {
 		if n != 0 {
 			b.Fatalf("observability bundle unexpectedly present (%d)", n)
 		}
-	})
-	perSite := float64(nilSite.NsPerOp()) * 8 / sitesPerOp
+	}
+	var perDispatch, perSite float64
+	for r := 0; r < rounds; r++ {
+		// Cost of one uninstrumented dispatch (provider -> requirer, inline).
+		d := float64(testing.Benchmark(BenchmarkEmitDirect).NsPerOp())
+		site := float64(testing.Benchmark(nilSites).NsPerOp()) * 8 / sitesPerOp
+		if r == 0 || d < perDispatch {
+			perDispatch = d
+		}
+		if r == 0 || site < perSite {
+			perSite = site
+		}
+	}
+	if perDispatch <= 0 {
+		t.Skip("benchmark resolution too coarse on this platform")
+	}
 
 	ratio := perSite / perDispatch
 	t.Logf("dispatch=%.1fns nil-instrumentation=%.1fns overhead=%.2f%%",

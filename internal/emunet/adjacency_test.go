@@ -14,8 +14,8 @@ import (
 // Property test for the spatial adjacency index. Broadcast fan-out reads
 // the per-sender adjacency lists; the link map remains the O(n²) ground
 // truth that SetLink/CutLink/Detach mutate. After any randomized mutation
-// sequence the two must describe the same graph, or sharded delivery would
-// silently diverge from the declared topology.
+// sequence the two must describe the same graph, or broadcast delivery
+// would silently diverge from the declared topology.
 
 // referenceNeighbors derives a node's out-neighbours the slow way: probe
 // every attached address pair through Linked (the link-map matrix).
@@ -61,16 +61,15 @@ func TestAdjacencyMatchesLinkMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
 		n    int
-		cfg  EngineConfig
 	}{
-		{seed: 1, n: 12, cfg: EngineConfig{}},
-		{seed: 2, n: 30, cfg: EngineConfig{ShardSize: 4, ParallelThreshold: 1}},
-		{seed: 3, n: 7, cfg: EngineConfig{ShardSize: 2}},
+		{seed: 1, n: 12},
+		{seed: 2, n: 30},
+		{seed: 3, n: 7},
 	} {
 		t.Run(fmt.Sprintf("seed%d_n%d", tc.seed, tc.n), func(t *testing.T) {
 			epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 			clk := vclock.NewVirtual(epoch)
-			net := NewWithConfig(clk, tc.seed, tc.cfg)
+			net := New(clk, tc.seed)
 			nodes := Addrs(tc.n)
 			if err := BuildRandom(net, nodes, 0.3, tc.seed, DefaultQuality()); err != nil {
 				t.Fatalf("BuildRandom: %v", err)
@@ -132,7 +131,7 @@ func TestAdjacencyMatchesLinkMatrix(t *testing.T) {
 func TestAdjacencyMidPartition(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, 9, EngineConfig{ShardSize: 2})
+	net := New(clk, 9)
 	nodes := Addrs(10)
 	if err := BuildClique(net, nodes, DefaultQuality()); err != nil {
 		t.Fatalf("BuildClique: %v", err)

@@ -18,28 +18,19 @@ import (
 // that lets every golden gate in the repo keep its committed values across
 // the engine swap.
 
-// engineConfigs enumerates the medium variants the differential tests
-// compare. Shard size 2 forces shard-boundary traffic on 4-node runs;
-// threshold 1 forces the parallel prep path even for tiny epochs.
-func engineConfigs() map[string]EngineConfig {
-	return map[string]EngineConfig{
-		"legacy":        {Legacy: true},
-		"event":         {},
-		"event-shard2":  {ShardSize: 2, ParallelThreshold: 1},
-		"event-serial":  {Workers: 1},
-		"event-1worker": {ShardSize: 2, ParallelThreshold: 1, Workers: 1},
-	}
-}
+// newMedium constructs a medium on one of the two compared paths: newLegacy
+// (the reference) or New (the event core).
+type newMedium func(vclock.Clock, int64) *Network
 
 // chaosObservables runs the seed-7 chaos scenario (the TestGoldenFrameTrace
 // workload: lossy line, partition+crash+corrupt+duplicate+reorder plan,
 // scripted beacons and unicasts) on the given engine and returns everything
 // a protocol or test could observe.
-func chaosObservables(t *testing.T, seed int64, cfg EngineConfig) (Stats, []string, []string, []trace.Span, string) {
+func chaosObservables(t *testing.T, seed int64, mk newMedium) (Stats, []string, []string, []trace.Span, string) {
 	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, seed, cfg)
+	net := mk(clk, seed)
 	tr := trace.New(epoch, 0)
 	net.SetTracer(tr)
 	addrs := Addrs(4)
@@ -112,39 +103,41 @@ func longer(a, b []trace.Span) []trace.Span {
 	return b
 }
 
-// TestDifferentialChaos asserts that every event-core variant reproduces
-// the legacy path's observable behaviour bit-for-bit on the chaos workload,
-// across several seeds.
+// diffRx reports the first receive where two upcall logs diverge.
+func diffRx(t *testing.T, name string, want, got []string) {
+	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	for i := range got {
+		if i >= len(want) || got[i] != want[i] {
+			t.Errorf("%s: receive %d diverged:\n legacy %q\n event  %q",
+				name, i, want[min(i, len(want)-1)], got[i])
+			break
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: %d receives, legacy %d", name, len(got), len(want))
+	}
+}
+
+// TestDifferentialChaos asserts that the event core reproduces the legacy
+// path's observable behaviour bit-for-bit on the chaos workload, across
+// several seeds.
 func TestDifferentialChaos(t *testing.T) {
 	for _, seed := range []int64{7, 8, 41} {
-		refStats, refLog, refRx, refSpans, refFP := chaosObservables(t, seed, EngineConfig{Legacy: true})
-		for name, cfg := range engineConfigs() {
-			if cfg.Legacy {
-				continue
-			}
-			//mk:allow maporder test-table range: each case rebuilds its network and fingerprints it independently, cross-case order is immaterial
-			stats, log, rx, spans, fp := chaosObservables(t, seed, cfg)
-			if stats != refStats {
-				t.Errorf("seed %d %s: Stats diverged:\n legacy %+v\n %s %+v", seed, name, refStats, name, stats)
-			}
-			if !reflect.DeepEqual(log, refLog) {
-				t.Errorf("seed %d %s: fault firing logs diverged:\n legacy %q\n %s %q", seed, name, refLog, name, log)
-			}
-			if !reflect.DeepEqual(rx, refRx) {
-				for i := range rx {
-					if i >= len(refRx) || rx[i] != refRx[i] {
-						t.Errorf("seed %d %s: receive %d diverged:\n legacy %q\n %s %q",
-							seed, name, i, refRx[min(i, len(refRx)-1)], name, rx[i])
-						break
-					}
-				}
-				if len(rx) != len(refRx) {
-					t.Errorf("seed %d %s: %d receives, legacy %d", seed, name, len(rx), len(refRx))
-				}
-			}
-			if fp != refFP {
-				diffSpans(t, fmt.Sprintf("seed %d %s", seed, name), refSpans, spans)
-			}
+		refStats, refLog, refRx, refSpans, refFP := chaosObservables(t, seed, newLegacy)
+		stats, log, rx, spans, fp := chaosObservables(t, seed, New)
+		name := fmt.Sprintf("seed %d", seed)
+		if stats != refStats {
+			t.Errorf("%s: Stats diverged:\n legacy %+v\n event  %+v", name, refStats, stats)
+		}
+		if !reflect.DeepEqual(log, refLog) {
+			t.Errorf("%s: fault firing logs diverged:\n legacy %q\n event  %q", name, refLog, log)
+		}
+		diffRx(t, name, refRx, rx)
+		if fp != refFP {
+			diffSpans(t, name, refSpans, spans)
 		}
 	}
 }
@@ -153,10 +146,10 @@ func TestDifferentialChaos(t *testing.T) {
 // path: delivery verdicts and their order must match across engines, for
 // linked, lossy, missing-link and mid-flight-crash cases.
 func TestDifferentialFeedback(t *testing.T) {
-	run := func(cfg EngineConfig) []string {
+	run := func(mk newMedium) []string {
 		epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 		clk := vclock.NewVirtual(epoch)
-		net := NewWithConfig(clk, 5, cfg)
+		net := mk(clk, 5)
 		addrs := Addrs(3)
 		for _, a := range addrs {
 			if _, err := net.Attach(a); err != nil {
@@ -196,29 +189,24 @@ func TestDifferentialFeedback(t *testing.T) {
 		return verdicts
 	}
 
-	ref := run(EngineConfig{Legacy: true})
+	ref := run(newLegacy)
 	if len(ref) == 0 {
 		t.Fatal("no feedback verdicts")
 	}
-	for name, cfg := range engineConfigs() {
-		if cfg.Legacy {
-			continue
-		}
-		got := run(cfg)
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: feedback verdicts diverged:\n legacy %q\n %s %q", name, ref, name, got)
-		}
+	if got := run(New); !reflect.DeepEqual(got, ref) {
+		t.Errorf("feedback verdicts diverged:\n legacy %q\n event  %q", ref, got)
 	}
 }
 
 // TestDifferentialTopologyEdges walks the topology mutation surface —
 // detach with in-flight frames, reattach, asymmetric links, link cuts under
-// traffic, scenario playback — and compares receive sequences.
+// traffic, scenario playback, and a receiver upcall detaching another
+// receiver of the same broadcast — and compares receive sequences.
 func TestDifferentialTopologyEdges(t *testing.T) {
-	run := func(cfg EngineConfig) ([]string, Stats) {
+	run := func(mk newMedium) ([]string, Stats) {
 		epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 		clk := vclock.NewVirtual(epoch)
-		net := NewWithConfig(clk, 11, cfg)
+		net := mk(clk, 11)
 		addrs := Addrs(5)
 		if err := BuildGrid(net, addrs, 5, DefaultQuality()); err != nil {
 			t.Fatalf("BuildGrid: %v", err)
@@ -229,6 +217,12 @@ func TestDifferentialTopologyEdges(t *testing.T) {
 			nic, _ := net.NIC(a)
 			nic.SetReceiver(func(f Frame) {
 				rxLog = append(rxLog, fmt.Sprintf("t=%v %v->%v %x", clk.Now().Sub(epoch), f.Src, a, f.Payload))
+				// Same-instant detach: addrs[3]'s "kill" broadcast reaches
+				// addrs[2] and addrs[4] at one instant, addrs[2] first. Its
+				// upcall detaches addrs[4], whose delivery is still due.
+				if a == addrs[2] && string(f.Payload) == "kill" {
+					_ = net.Detach(addrs[4])
+				}
 			})
 		}
 		var detached *NIC
@@ -241,6 +235,11 @@ func TestDifferentialTopologyEdges(t *testing.T) {
 			_ = net.SetDirectedLink(addrs[1], addrs[2], DefaultQuality())
 		})
 		clk.AfterFunc(80*time.Millisecond, func() { net.CutLink(addrs[0], addrs[1]) })
+		clk.AfterFunc(150*time.Millisecond, func() {
+			_ = net.SetDirectedLink(addrs[3], addrs[2], DefaultQuality())
+			nic, _ := net.NIC(addrs[3])
+			_ = nic.Send(mnet.Broadcast, []byte("kill"))
+		})
 		for i, a := range addrs {
 			a := a
 			peer := addrs[(i+2)%len(addrs)]
@@ -260,28 +259,13 @@ func TestDifferentialTopologyEdges(t *testing.T) {
 		return rxLog, net.Stats()
 	}
 
-	refRx, refStats := run(EngineConfig{Legacy: true})
+	refRx, refStats := run(newLegacy)
 	if len(refRx) == 0 {
 		t.Fatal("no deliveries in reference run")
 	}
-	for name, cfg := range engineConfigs() {
-		if cfg.Legacy {
-			continue
-		}
-		rx, stats := run(cfg)
-		if stats != refStats {
-			t.Errorf("%s: Stats diverged:\n legacy %+v\n %s %+v", name, refStats, name, stats)
-		}
-		if !reflect.DeepEqual(rx, refRx) {
-			for i := range rx {
-				if i >= len(refRx) || rx[i] != refRx[i] {
-					t.Errorf("%s: receive %d diverged (legacy has %d, got %d)", name, i, len(refRx), len(rx))
-					break
-				}
-			}
-			if len(rx) != len(refRx) {
-				t.Errorf("%s: %d receives, legacy %d", name, len(rx), len(refRx))
-			}
-		}
+	rx, stats := run(New)
+	if stats != refStats {
+		t.Errorf("Stats diverged:\n legacy %+v\n event  %+v", refStats, stats)
 	}
+	diffRx(t, "topology edges", refRx, rx)
 }

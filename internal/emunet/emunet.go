@@ -9,11 +9,12 @@
 // strength. Mobility scenarios are scripted timeline mutations of the
 // matrix, like MobiEmu scenario playback.
 //
-// Frame delivery runs on the sharded discrete-event engine (engine.go) by
-// default, which scales the medium to thousands of nodes; NewWithConfig
-// selects the original timer-per-delivery path for differential testing.
-// All timing goes through vclock.Clock, so a whole scenario is
-// deterministic under a virtual clock on either engine.
+// Frame delivery runs on a serial discrete-event engine (engine.go): one
+// priority queue of deliveries and one clock timer at its earliest
+// deadline, which scales the medium to thousands of nodes. The original
+// timer-per-delivery path survives unexported as the reference the
+// differential tests compare the engine against. All timing goes through
+// vclock.Clock, so a whole scenario is deterministic under a virtual clock.
 package emunet
 
 import (
@@ -108,8 +109,8 @@ type Network struct {
 	nodes map[mnet.Addr]*NIC
 	links map[linkKey]Quality
 	adj   map[mnet.Addr][]neighborLink
-	stats Stats                  // legacy engine's global counters
-	eng   *engine                // nil on the legacy path
+	stats Stats
+	eng   *engine                // nil on the legacy reference path
 	tap   func(Frame, mnet.Addr) // (frame, receiver); nil when unset
 	txTap func(Frame)            // transmission-side tap; nil when unset
 	inj   *Injector              // nil until a FaultPlan is applied
@@ -121,28 +122,26 @@ type Network struct {
 	epochObs func(EpochStats)
 }
 
-// New creates an empty medium on the given clock, running the sharded
-// discrete-event engine with default tuning. seed drives the loss process,
-// making lossy runs reproducible.
+// New creates an empty medium on the given clock, running the
+// discrete-event engine. seed drives the loss process, making lossy runs
+// reproducible.
 func New(clock vclock.Clock, seed int64) *Network {
-	return NewWithConfig(clock, seed, EngineConfig{})
+	n := newLegacy(clock, seed)
+	n.eng = &engine{net: n}
+	return n
 }
 
-// NewWithConfig is New with explicit engine selection and tuning — the
-// constructor differential tests use to pit the legacy timer-per-delivery
-// path against the event core on identical seeds.
-func NewWithConfig(clock vclock.Clock, seed int64, cfg EngineConfig) *Network {
-	n := &Network{
+// newLegacy creates a medium on the legacy timer-per-delivery path: one
+// vclock timer and one closure per in-flight frame. It is the reference
+// the differential tests pit the engine against on identical seeds.
+func newLegacy(clock vclock.Clock, seed int64) *Network {
+	return &Network{
 		clock: clock,
 		rng:   rand.New(rand.NewSource(seed)),
 		nodes: make(map[mnet.Addr]*NIC),
 		links: make(map[linkKey]Quality),
 		adj:   make(map[mnet.Addr][]neighborLink),
 	}
-	if !cfg.Legacy {
-		n.eng = newEngine(n, cfg)
-	}
-	return n
 }
 
 // Clock returns the clock the medium schedules deliveries on.
@@ -295,7 +294,7 @@ func (n *Network) LinkQuality(from, to mnet.Addr) (Quality, bool) {
 
 // Neighbors lists the nodes from can reach in one hop, sorted. It reads the
 // adjacency index; the links matrix is the ground truth it must agree with
-// (the shard property test checks exactly that).
+// (the adjacency property test checks exactly that).
 func (n *Network) Neighbors(from mnet.Addr) []mnet.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -330,30 +329,11 @@ func (n *Network) NIC(addr mnet.Addr) (*NIC, bool) {
 	return nic, ok
 }
 
-// Stats returns a snapshot of medium counters. On the event core this is
-// the sum over spatial shards; on the legacy path, the global struct.
+// Stats returns a snapshot of medium counters.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.eng != nil {
-		return n.eng.totalsLocked()
-	}
 	return n.stats
-}
-
-// ShardStats returns a copy of the per-shard medium counters, keyed by
-// spatial shard ID (address / ShardSize). Each counter is attributed to
-// exactly one shard — transmission-side events to the sender's, per-target
-// events to the receiver's — so summing the values reproduces Stats even
-// across shard-boundary links. The legacy engine has no shards and returns
-// nil.
-func (n *Network) ShardStats() map[uint32]Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.eng == nil {
-		return nil
-	}
-	return n.eng.snapshotLocked()
 }
 
 // SetEpochObserver installs fn to receive one EpochStats per committed
@@ -367,7 +347,7 @@ func (n *Network) SetEpochObserver(fn func(EpochStats)) {
 }
 
 // EngineStats returns the event core's cumulative epoch telemetry. ok is
-// false on the legacy engine, which has no epochs.
+// false on the legacy reference path, which has no epochs.
 func (n *Network) EngineStats() (EngineStats, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -382,19 +362,6 @@ func (n *Network) ResetStats() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats = Stats{}
-	if n.eng != nil {
-		n.eng.shardStats = make(map[uint32]*Stats)
-	}
-}
-
-// statsLocked returns the counter bucket that events at addr are charged
-// to: addr's spatial shard on the event core, the global struct on the
-// legacy path. Caller holds n.mu.
-func (n *Network) statsLocked(addr mnet.Addr) *Stats {
-	if n.eng != nil {
-		return n.eng.statsForLocked(addr)
-	}
-	return &n.stats
 }
 
 // SetTap installs a packet-capture hook (the libpcap analogue): fn observes
@@ -430,9 +397,8 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 	n.mu.Lock()
 	now := n.clock.Now()
 	txTap := n.txTap
-	txStats := n.statsLocked(src)
-	txStats.TxFrames++
-	txStats.TxBytes += uint64(len(payload))
+	n.stats.TxFrames++
+	n.stats.TxBytes += uint64(len(payload))
 	if n.obs != nil {
 		n.obs.txFrames.Inc()
 		if n.obs.tracer != nil {
@@ -458,7 +424,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		q, ok := n.links[linkKey{src, dst}]
 		nic, attached := n.nodes[dst]
 		if !ok || !attached {
-			n.statsLocked(dst).DroppedNoLink++
+			n.stats.DroppedNoLink++
 			if n.obs != nil {
 				n.obs.droppedNoLink.Inc()
 				if n.obs.tracer != nil {
@@ -487,7 +453,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 	var due []pending
 	for _, d := range targets {
 		if d.q.Loss > 0 && n.rng.Float64() < d.q.Loss {
-			n.statsLocked(d.nic.addr).DroppedLoss++
+			n.stats.DroppedLoss++
 			if n.obs != nil {
 				n.obs.droppedLoss.Inc()
 				if n.obs.tracer != nil {
@@ -502,7 +468,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		frame := Frame{Src: src, Dst: dst, Payload: buf, Device: device, RSSI: d.q.SignalDBm, Corr: corr}
 		delay := d.q.Delay
 		if n.inj != nil {
-			extras := n.inj.injectLocked(n, n.statsLocked(d.nic.addr), d.nic.addr, &frame, &delay)
+			extras := n.inj.injectLocked(n, d.nic.addr, &frame, &delay)
 			for _, e := range extras {
 				due = append(due, pending{d.nic, e.frame, e.delay})
 			}
@@ -610,9 +576,8 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	n.mu.Lock()
 	now := n.clock.Now()
 	txTap := n.txTap
-	txStats := n.statsLocked(c.addr)
-	txStats.TxFrames++
-	txStats.TxBytes += uint64(len(payload))
+	n.stats.TxFrames++
+	n.stats.TxBytes += uint64(len(payload))
 	if n.obs != nil {
 		n.obs.txFrames.Inc()
 		if n.obs.tracer != nil {
@@ -626,12 +591,12 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	nic, attached := n.nodes[dst]
 	lost := false
 	if !linked || !attached {
-		n.statsLocked(dst).DroppedNoLink++
+		n.stats.DroppedNoLink++
 		if n.obs != nil {
 			n.obs.droppedNoLink.Inc()
 		}
 	} else if q.Loss > 0 && n.rng.Float64() < q.Loss {
-		n.statsLocked(dst).DroppedLoss++
+		n.stats.DroppedLoss++
 		if n.obs != nil {
 			n.obs.droppedLoss.Inc()
 		}
@@ -656,7 +621,7 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 		frame = Frame{Src: c.addr, Dst: dst, Payload: append([]byte(nil), payload...),
 			Device: c.device, RSSI: q.SignalDBm, Corr: corr}
 		if n.inj != nil {
-			n.inj.corruptOnlyLocked(n, n.statsLocked(dst), dst, &frame)
+			n.inj.corruptOnlyLocked(n, dst, &frame)
 		}
 		if n.obs != nil && n.obs.linkDelay != nil {
 			n.obs.linkDelay.Observe(delay)
@@ -697,9 +662,9 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	return nil
 }
 
-// deliver hands a frame to the receiver callback and accounts for it — the
-// legacy path's delivery tail. The event core splits the same work into
-// prep/commit halves (engine.go).
+// deliver hands a frame to the receiver callback and accounts for it. Both
+// the legacy path's per-frame timers and the engine's commit loop end
+// here, so a receiver detached by an earlier upcall is seen as detached.
 //
 //mk:hotpath
 func (c *NIC) deliver(f Frame) {

@@ -1,7 +1,6 @@
 package emunet
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -12,11 +11,11 @@ import (
 
 // TestEpochObserverAndShardGauges drives a 12-node clique through one
 // broadcast storm and checks the per-epoch telemetry against the engine's
-// own cumulative counters, the metrics registry and the shard buckets.
+// own cumulative counters and the metrics registry.
 func TestEpochObserverAndShardGauges(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, 7, EngineConfig{ShardSize: 4, ParallelThreshold: 2})
+	net := New(clk, 7)
 	reg := metrics.NewRegistry()
 	net.SetMetrics(reg)
 
@@ -28,7 +27,7 @@ func TestEpochObserverAndShardGauges(t *testing.T) {
 		t.Fatalf("BuildClique: %v", err)
 	}
 	// Every node broadcasts at the same instant: all deliveries share one
-	// arrival time, so they land in one epoch spanning every shard.
+	// arrival time, so they land in one epoch.
 	for _, a := range nodes {
 		a := a
 		clk.AfterFunc(time.Millisecond, func() {
@@ -41,8 +40,8 @@ func TestEpochObserverAndShardGauges(t *testing.T) {
 	if len(epochs) == 0 {
 		t.Fatal("no epochs observed")
 	}
-	var sum, parallel uint64
-	var maxEvents, maxShards int
+	var sum uint64
+	var maxEvents int
 	for i, es := range epochs {
 		if es.Epoch != uint64(i+1) {
 			t.Fatalf("epoch %d has ordinal %d, want %d", i, es.Epoch, i+1)
@@ -50,40 +49,27 @@ func TestEpochObserverAndShardGauges(t *testing.T) {
 		if es.CommitLag != 0 {
 			t.Errorf("epoch %d commit lag %s: must be 0 on the virtual clock", i, es.CommitLag)
 		}
-		if wantPar := es.Events >= 2 && es.Shards > 1; es.Parallel != wantPar {
-			t.Errorf("epoch %d: Parallel=%v but events=%d shards=%d (eligibility rule broken)",
-				i, es.Parallel, es.Events, es.Shards)
-		}
-		if es.MaxShardEvents > es.Events || es.MaxShardEvents <= 0 {
-			t.Errorf("epoch %d: max shard events %d of %d", i, es.MaxShardEvents, es.Events)
-		}
 		sum += uint64(es.Events)
-		if es.Parallel {
-			parallel++
-		}
 		if es.Events > maxEvents {
 			maxEvents = es.Events
-		}
-		if es.Shards > maxShards {
-			maxShards = es.Shards
 		}
 	}
 	if epochs[len(epochs)-1].QueueDepth != 0 {
 		t.Errorf("final epoch left queue depth %d", epochs[len(epochs)-1].QueueDepth)
 	}
 	// The storm epoch: 12 broadcasts × 11 receivers at one instant.
-	if maxEvents != 132 || maxShards < 2 {
-		t.Errorf("storm epoch: %d events over %d shards, want 132 over >=2", maxEvents, maxShards)
+	if maxEvents != 132 {
+		t.Errorf("storm epoch: %d events, want 132", maxEvents)
+	}
+	if rx := net.Stats().RxFrames; sum != rx {
+		t.Errorf("epoch events sum %d != Stats.RxFrames %d", sum, rx)
 	}
 
 	eng, ok := net.EngineStats()
 	if !ok {
 		t.Fatal("EngineStats: not the event core")
 	}
-	want := EngineStats{
-		Epochs: uint64(len(epochs)), ParallelEpochs: parallel, Events: sum,
-		MaxEpochEvents: maxEvents, MaxEpochShards: maxShards,
-	}
+	want := EngineStats{Epochs: uint64(len(epochs)), Events: sum, MaxEpochEvents: maxEvents}
 	if eng != want {
 		t.Fatalf("EngineStats %+v, want %+v (from observed epochs)", eng, want)
 	}
@@ -95,35 +81,14 @@ func TestEpochObserverAndShardGauges(t *testing.T) {
 	if got := snap.Counters["net_engine_epoch_events"]; got != sum {
 		t.Errorf("net_engine_epoch_events = %d, want %d", got, sum)
 	}
-	if got := snap.Counters["net_engine_epochs_parallel"]; got != parallel {
-		t.Errorf("net_engine_epochs_parallel = %d, want %d", got, parallel)
-	}
-
-	shards := net.ShardStats()
-	if got := snap.Gauges["net_engine_shards"]; got != int64(len(shards)) {
-		t.Errorf("net_engine_shards = %d, want %d", got, len(shards))
-	}
-	var totalRx uint64
-	for id, st := range shards {
-		totalRx += st.RxFrames
-		if g := snap.Gauges[fmt.Sprintf("net_shard_rx_frames:%d", id)]; g != int64(st.RxFrames) {
-			t.Errorf("net_shard_rx_frames:%d = %d, want %d", id, g, st.RxFrames)
-		}
-		if g := snap.Gauges[fmt.Sprintf("net_shard_tx_frames:%d", id)]; g != int64(st.TxFrames) {
-			t.Errorf("net_shard_tx_frames:%d = %d, want %d", id, g, st.TxFrames)
-		}
-	}
-	if totalRx != net.Stats().RxFrames {
-		t.Errorf("shard rx sum %d != Stats.RxFrames %d", totalRx, net.Stats().RxFrames)
-	}
 }
 
-// TestEpochObserverLegacyEngine: the legacy matrix engine has no epochs;
+// TestEpochObserverLegacyEngine: the legacy reference path has no epochs;
 // the observer must simply never fire and EngineStats must say so.
 func TestEpochObserverLegacyEngine(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, 7, EngineConfig{Legacy: true})
+	net := newLegacy(clk, 7)
 	fired := false
 	net.SetEpochObserver(func(EpochStats) { fired = true })
 	nodes := Addrs(2)

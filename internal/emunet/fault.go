@@ -205,25 +205,24 @@ type extraDelivery struct {
 
 // injectLocked applies per-frame faults to one delivery: possibly corrupts
 // the frame, possibly delays it (reordering), and possibly returns extra
-// duplicated deliveries. Fault counters land in st, the receiver's shard
-// bucket (or the legacy global struct). Caller holds the network mutex.
-func (inj *Injector) injectLocked(n *Network, st *Stats, to mnet.Addr, f *Frame, delay *time.Duration) []extraDelivery {
+// duplicated deliveries. Caller holds the network mutex.
+func (inj *Injector) injectLocked(n *Network, to mnet.Addr, f *Frame, delay *time.Duration) []extraDelivery {
 	var extras []extraDelivery
 	if inj.corruptP > 0 && inj.rng.Float64() < inj.corruptP {
-		inj.corruptFrameLocked(n, st, to, f)
+		inj.corruptFrameLocked(n, to, f)
 	}
 	if inj.dupP > 0 && inj.rng.Float64() < inj.dupP {
 		dup := *f
 		dup.Payload = append([]byte(nil), f.Payload...)
 		extras = append(extras, extraDelivery{dup, *delay * 2})
-		st.Duplicated++
+		n.stats.Duplicated++
 		inj.logf(n, "duplicate %v->%v (%dB)", f.Src, to, len(f.Payload))
 	}
 	if inj.reorderP > 0 && inj.rng.Float64() < inj.reorderP {
 		// 1..jitter in whole clock ticks of the jitter's granularity.
 		extra := time.Duration(inj.rng.Int63n(int64(inj.jitter))) + 1
 		*delay += extra
-		st.Reordered++
+		n.stats.Reordered++
 		inj.logf(n, "reorder %v->%v +%v", f.Src, to, extra)
 	}
 	return extras
@@ -232,13 +231,13 @@ func (inj *Injector) injectLocked(n *Network, st *Stats, to mnet.Addr, f *Frame,
 // corruptOnlyLocked applies only the corruption fault — used on the
 // MAC-feedback (802.11 ACK) path where duplication and reordering are
 // suppressed by the ACK exchange. Caller holds the network mutex.
-func (inj *Injector) corruptOnlyLocked(n *Network, st *Stats, to mnet.Addr, f *Frame) {
+func (inj *Injector) corruptOnlyLocked(n *Network, to mnet.Addr, f *Frame) {
 	if inj.corruptP > 0 && inj.rng.Float64() < inj.corruptP {
-		inj.corruptFrameLocked(n, st, to, f)
+		inj.corruptFrameLocked(n, to, f)
 	}
 }
 
-func (inj *Injector) corruptFrameLocked(n *Network, st *Stats, to mnet.Addr, f *Frame) {
+func (inj *Injector) corruptFrameLocked(n *Network, to mnet.Addr, f *Frame) {
 	if len(f.Payload) == 0 {
 		return
 	}
@@ -253,7 +252,7 @@ func (inj *Injector) corruptFrameLocked(n *Network, st *Stats, to mnet.Addr, f *
 	}
 	f.Payload = buf
 	f.Corrupted = true
-	st.Corrupted++
+	n.stats.Corrupted++
 	inj.logf(n, "corrupt %v->%v flip %d/%dB", f.Src, to, flips, len(buf))
 }
 

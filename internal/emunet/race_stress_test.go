@@ -11,19 +11,19 @@ import (
 	"manetkit/internal/vclock"
 )
 
-// TestEngineRaceStress hammers the sharded event core from the outside
-// while its epoch workers run: one goroutine drives the virtual clock (and
-// with it the parallel prep phase), while others churn the topology, fire
-// scripted traffic, apply fault schedules and read every observer surface.
-// Run under -race in CI it proves the shard workers never share mutable
-// state with the admin or observer paths. Determinism is NOT asserted here
-// — concurrent admin ops interleave with the clock arbitrarily — only
-// memory safety and liveness; the replay tests cover determinism.
+// TestEngineRaceStress hammers the event core from the outside while its
+// epochs run: one goroutine drives the virtual clock (and with it every
+// epoch's commit loop), while others churn the topology, fire scripted
+// traffic, apply fault schedules and read every observer surface. Run
+// under -race in CI it proves the clock goroutine never shares unguarded
+// mutable state with the admin or observer paths. Determinism is NOT
+// asserted here — concurrent admin ops interleave with the clock
+// arbitrarily — only memory safety and liveness; the replay tests cover
+// determinism.
 func TestEngineRaceStress(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	// Tiny shards + threshold 1 force the parallel path on every epoch.
-	net := NewWithConfig(clk, 3, EngineConfig{ShardSize: 2, ParallelThreshold: 1})
+	net := New(clk, 3)
 	const n = 24
 	addrs := Addrs(n)
 	if err := BuildGrid(net, addrs, 6, DefaultQuality()); err != nil {
@@ -64,7 +64,7 @@ func TestEngineRaceStress(t *testing.T) {
 	done := make(chan struct{})
 
 	// Clock driver: the only goroutine advancing virtual time; each Advance
-	// runs epochs whose prep phase fans out across shard workers.
+	// commits the epochs that fall due.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -117,7 +117,7 @@ func TestEngineRaceStress(t *testing.T) {
 			default:
 			}
 			_ = net.Stats()
-			_ = net.ShardStats()
+			_, _ = net.EngineStats()
 			_ = net.Neighbors(addrs[rng.Intn(n)])
 			_ = net.Nodes()
 			_, _ = net.LinkQuality(addrs[rng.Intn(n)], addrs[rng.Intn(n)])

@@ -11,24 +11,24 @@ import (
 	"manetkit/internal/vclock"
 )
 
-// The headline determinism claim of the sharded event core: a thousand-node
+// The headline determinism claim of the event core: a thousand-node
 // emulation replays byte-identically whatever parallelism the host offers.
-// Worker goroutines only do order-insensitive prep; everything observable
-// commits in global (virtual time, schedule seq) order — so the full span
-// trace, not just aggregate counters, must fingerprint identically with the
-// scheduler pinned to one CPU and with all of them.
+// Everything observable commits in global (virtual time, schedule seq)
+// order on the clock goroutine — so the full span trace, not just
+// aggregate counters, must fingerprint identically with the scheduler
+// pinned to one CPU and with all of them, and on the legacy reference.
 
 // thousandNodeTrace drives a 1000-node grid: every node beacons, a strided
-// unicast mesh forces shard-boundary traffic, receivers echo the first ping
+// unicast mesh crosses the grid, receivers echo the first ping
 // (send-from-receive re-entrancy inside epochs), and a fault plan partitions
 // half the grid with corruption and duplication live. Returns the trace
 // fingerprint, the span count and the final Stats.
-func thousandNodeTrace(t *testing.T, cfg EngineConfig) (string, int, Stats) {
+func thousandNodeTrace(t *testing.T, mk newMedium) (string, int, Stats) {
 	t.Helper()
 	const n, cols = 1000, 32
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, 1701, cfg)
+	net := mk(clk, 1701)
 	tr := trace.New(epoch, 0)
 	net.SetTracer(tr)
 	nodes := Addrs(n)
@@ -75,31 +75,39 @@ func thousandNodeTrace(t *testing.T, cfg EngineConfig) (string, int, Stats) {
 
 // TestThousandNodeReplayAcrossGOMAXPROCS is the satellite gate: GOMAXPROCS=1
 // versus all CPUs, same seed ⇒ byte-identical trace fingerprint and Stats at
-// 1000 nodes, for the default engine and an aggressively sharded variant.
+// 1000 nodes, on the event core and on the legacy reference, which must
+// also agree with each other.
 func TestThousandNodeReplayAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("thousand-node replay; skipped in -short")
 	}
-	for name, cfg := range map[string]EngineConfig{
-		"default": {},
-		"shard64": {ShardSize: 64, ParallelThreshold: 1},
+	var refFP string
+	for _, tc := range []struct {
+		name string
+		mk   newMedium
+	}{
+		{"legacy", newLegacy},
+		{"event", New},
 	} {
 		prev := runtime.GOMAXPROCS(1)
-		//mk:allow maporder test-table range: each case fingerprints its own run, cross-case order is immaterial
-		serialFP, serialSpans, serialStats := thousandNodeTrace(t, cfg)
+		serialFP, serialSpans, serialStats := thousandNodeTrace(t, tc.mk)
 		runtime.GOMAXPROCS(prev)
-		//mk:allow maporder test-table range: each case fingerprints its own run, cross-case order is immaterial
-		parallelFP, parallelSpans, parallelStats := thousandNodeTrace(t, cfg)
+		parallelFP, parallelSpans, parallelStats := thousandNodeTrace(t, tc.mk)
 		if serialSpans == 0 || serialStats.RxFrames == 0 {
-			t.Fatalf("%s: trace is empty (%d spans, stats %+v)", name, serialSpans, serialStats)
+			t.Fatalf("%s: trace is empty (%d spans, stats %+v)", tc.name, serialSpans, serialStats)
 		}
 		if parallelFP != serialFP {
 			t.Errorf("%s: trace fingerprint diverged across GOMAXPROCS 1 vs %d: %s (%d spans) vs %s (%d spans)",
-				name, runtime.GOMAXPROCS(0), serialFP, serialSpans, parallelFP, parallelSpans)
+				tc.name, runtime.GOMAXPROCS(0), serialFP, serialSpans, parallelFP, parallelSpans)
 		}
 		if parallelStats != serialStats {
 			t.Errorf("%s: Stats diverged across GOMAXPROCS:\n serial   %+v\n parallel %+v",
-				name, serialStats, parallelStats)
+				tc.name, serialStats, parallelStats)
+		}
+		if refFP == "" {
+			refFP = serialFP
+		} else if serialFP != refFP {
+			t.Errorf("%s: trace fingerprint %s, legacy reference %s", tc.name, serialFP, refFP)
 		}
 	}
 }

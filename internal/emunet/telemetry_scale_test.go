@@ -10,7 +10,7 @@ package emunet_test
 //   - the engine subscriber with ample buffer sees every epoch, and the
 //     decoded epochs reproduce the engine's own cumulative counters;
 //   - the flight recorder's dump is byte-identical across GOMAXPROCS 1
-//     and all CPUs — the streaming layer inherits the sharded core's
+//     and all CPUs — the streaming layer inherits the event core's
 //     replay determinism.
 
 import (
@@ -35,7 +35,7 @@ func thousandNodeBusRun(t *testing.T) (string, emunet.EngineStats) {
 	const n, cols = 1000, 32
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := emunet.NewWithConfig(clk, 1701, emunet.EngineConfig{})
+	net := emunet.New(clk, 1701)
 	tr := trace.New(epoch, 0)
 	net.SetTracer(tr)
 

@@ -43,10 +43,9 @@ func TestCampaignByteDeterminism(t *testing.T) {
 }
 
 // TestCampaignDeterminismAcrossGOMAXPROCS re-runs the campaign with the
-// scheduler pinned to one CPU and compares against the parallel run. The
-// sharded event core fans epoch prep across worker goroutines, so this is
-// the gate that campaign metrics — delivery ratios, latency percentiles,
-// violation strings — cannot depend on how many workers the host gave us.
+// scheduler pinned to one CPU and compares against the parallel run: the
+// gate that campaign metrics — delivery ratios, latency percentiles,
+// violation strings — cannot depend on how many CPUs the host gave us.
 func TestCampaignDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	encode := func() []byte {
 		t.Helper()

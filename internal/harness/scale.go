@@ -2,7 +2,7 @@ package harness
 
 // The scale ablation: how large an emulated network the medium sustains
 // with routing protocols live. The MANET evaluation literature runs
-// 50–1000-node scenarios as table stakes; the sharded discrete-event core
+// 50–1000-node scenarios as table stakes; the discrete-event core
 // (internal/emunet/engine.go) exists to put this repo in the same regime,
 // and MeasureScale is the harness that proves it — node counts into the
 // thousands with OLSR or AODV deployed on every node, deterministic frame
@@ -38,9 +38,6 @@ type ScaleSpec struct {
 	Probes int
 	// Seed drives the medium's loss process (default 1).
 	Seed int64
-	// Engine selects and tunes the delivery engine (zero value: the event
-	// core with default tuning).
-	Engine emunet.EngineConfig
 }
 
 func (s ScaleSpec) withDefaults() ScaleSpec {
@@ -95,7 +92,7 @@ func (r ScaleResult) Print() {
 // the measured region.
 func MeasureScale(spec ScaleSpec) (ScaleResult, error) {
 	spec = spec.withDefaults()
-	c, err := testbed.New(spec.Nodes, testbed.Options{Seed: spec.Seed, Engine: spec.Engine})
+	c, err := testbed.New(spec.Nodes, testbed.Options{Seed: spec.Seed})
 	if err != nil {
 		return ScaleResult{}, err
 	}

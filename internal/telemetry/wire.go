@@ -53,8 +53,7 @@ func AttachHealth(b *Bus, m *inspect.Monitor) {
 }
 
 // AttachEngine streams one event per committed engine epoch onto the bus
-// (StreamEngine) — events per epoch, shard occupancy, parallel
-// eligibility, commit lag and residual queue depth.
+// (StreamEngine) — events per epoch, commit lag and residual queue depth.
 func AttachEngine(b *Bus, n *emunet.Network) {
 	n.SetEpochObserver(func(es emunet.EpochStats) {
 		if !b.Active() {

@@ -521,7 +521,8 @@ func (s *Stack) DeployDYMO(cfg DYMOConfig) (*DYMO, error) {
 	return d, nil
 }
 
-// UndeployDYMO removes the DYMO CF and its private Neighbour Detection CF.
+// UndeployDYMO removes the DYMO CF, and the Neighbour Detection CF unless
+// a co-deployed AODV still uses it.
 func (s *Stack) UndeployDYMO() error {
 	if s.dymo == nil {
 		return nil
@@ -531,12 +532,21 @@ func (s *Stack) UndeployDYMO() error {
 	}
 	s.sys.FIB().FlushProto(s.dymo.Protocol().Name())
 	s.dymo = nil
-	if s.nd != nil {
-		if err := s.mgr.Undeploy(s.nd.Protocol().Name()); err != nil {
-			return err
-		}
-		s.nd = nil
+	if s.aodv == nil {
+		return s.undeployND()
 	}
+	return nil
+}
+
+// undeployND removes the Neighbour Detection CF, if deployed.
+func (s *Stack) undeployND() error {
+	if s.nd == nil {
+		return nil
+	}
+	if err := s.mgr.Undeploy(s.nd.Protocol().Name()); err != nil {
+		return err
+	}
+	s.nd = nil
 	return nil
 }
 
@@ -584,8 +594,8 @@ func (s *Stack) DeployAODV(cfg AODVConfig) (*AODV, error) {
 	return a, nil
 }
 
-// UndeployAODV removes the AODV CF (the Neighbour Detection CF stays for
-// other users; it goes with UndeployDYMO-style cleanup on Close).
+// UndeployAODV removes the AODV CF, and the Neighbour Detection CF unless
+// a co-deployed DYMO still uses it.
 func (s *Stack) UndeployAODV() error {
 	if s.aodv == nil {
 		return nil
@@ -595,6 +605,9 @@ func (s *Stack) UndeployAODV() error {
 	}
 	s.sys.FIB().FlushProto(s.aodv.Protocol().Name())
 	s.aodv = nil
+	if s.dymo == nil {
+		return s.undeployND()
+	}
 	return nil
 }
 

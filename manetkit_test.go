@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"manetkit/internal/neighbor"
 )
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -187,6 +189,55 @@ func TestAODVDeploymentAndDiscovery(t *testing.T) {
 	}
 	if stacks[0].AODVUnit() != nil {
 		t.Fatal("AODV still recorded after undeploy")
+	}
+}
+
+// TestReactiveUndeployKeepsSharedND pins who owns the Neighbour Detection
+// CF that DYMO and AODV share: undeploying one reactive protocol leaves the
+// ND CF to a co-deployed other, and the last one out removes it.
+func TestReactiveUndeployKeepsSharedND(t *testing.T) {
+	hasND := func(s *Stack) bool {
+		_, ok := s.Manager().Unit(neighbor.UnitName)
+		return ok
+	}
+
+	clk, _, stacks := lineStacks(t, 4)
+	for _, s := range stacks {
+		if _, err := s.DeployDYMO(DYMOConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.DeployAODV(AODVConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range stacks {
+		if err := s.UndeployDYMO(); err != nil {
+			t.Fatal(err)
+		}
+		if !hasND(s) {
+			t.Fatalf("%v: UndeployDYMO removed the ND CF a co-deployed AODV uses", s.Addr())
+		}
+	}
+	clk.Advance(3 * time.Second)
+	var delivered bool
+	stacks[3].OnDeliver(func(Addr, []byte) { delivered = true })
+	if err := stacks[0].SendData(stacks[3].Addr(), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(3 * time.Second)
+	if !delivered {
+		t.Fatal("AODV did not deliver after DYMO was undeployed beside it")
+	}
+
+	_, _, alone := lineStacks(t, 1)
+	if _, err := alone[0].DeployAODV(AODVConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := alone[0].UndeployAODV(); err != nil {
+		t.Fatal(err)
+	}
+	if hasND(alone[0]) {
+		t.Fatal("UndeployAODV left the ND CF deployed with no protocol using it")
 	}
 }
 
