@@ -565,11 +565,8 @@ func (a *AODV) onRREQ(ctx *core.Context, ev *event.Event) error {
 	if msg.HopLimit <= 1 {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
 	a.state.bump(func(st *Stats) { st.RREQForwards++ })
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: mnet.Broadcast})
+	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg.Forward(), Dst: mnet.Broadcast})
 	return nil
 }
 
@@ -609,10 +606,7 @@ func (a *AODV) onRREP(ctx *core.Context, ev *event.Event) error {
 	a.state.addPrecursor(msg.Originator, p.NextHop)
 	a.state.addPrecursor(reqOrig, ev.Src)
 
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: p.NextHop})
+	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg.Forward(), Dst: p.NextHop})
 	return nil
 }
 
@@ -705,8 +699,8 @@ func (a *AODV) onRERR(ctx *core.Context, ev *event.Event) error {
 		a.state.Routes.Invalidate(p)
 		// Propagate to our own precursors for this destination.
 		for _, up := range a.state.takePrecursors(dead) {
-			fwd := msg.Clone()
-			fwd.HopLimit--
+			fwd := msg.Forward()
+			fwd.HopCount = msg.HopCount // RERRs do not count hops
 			ctx.Emit(&event.Event{Type: event.RerrOut, Msg: fwd, Dst: up})
 		}
 	}

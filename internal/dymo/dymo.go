@@ -505,10 +505,9 @@ func (d *DYMO) onRREQ(ctx *core.Context, ev *event.Event) error {
 	if f := d.currentFlooder(); f != nil && !f.ShouldForward(msg.Originator, msg.SeqNum, ev.Src, now) {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
+	fwd := msg.Forward()
 	if d.cfg.AccumulatePaths {
+		fwd = fwd.Clone() // the accumulated path edits the body
 		appendAccumulated(fwd, ctx.Node(), fwd.HopCount)
 	}
 	d.state.bump(func(st *Stats) { st.RREQForwards++ })
@@ -593,10 +592,9 @@ func (d *DYMO) onRREP(ctx *core.Context, ev *event.Event) error {
 	if msg.HopLimit <= 1 {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
+	fwd := msg.Forward()
 	if d.cfg.AccumulatePaths {
+		fwd = fwd.Clone() // the accumulated path edits the body
 		appendAccumulated(fwd, ctx.Node(), fwd.HopCount)
 	}
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: p.NextHop})

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"manetkit/internal/mnet"
@@ -48,7 +49,32 @@ type Frame struct {
 	// radios carry no such field — so the frame-rx trace span on the
 	// receiving node can be stitched to the frame-tx span on the sender.
 	Corr string
+
+	// memo is shared by every delivery of one transmission that carries
+	// the transmission's payload unmodified; nil for single deliveries and
+	// for corrupted or duplicated copies.
+	memo *Memo
 }
+
+// Memo holds one value derived from a transmission's payload — its decoding
+// — for every receiver of that transmission to share. The medium attaches
+// one to the deliveries of a transmission with two or more of them that
+// carry its payload unmodified; receivers store what they derive from the
+// payload and later receivers load it instead of deriving it again.
+type Memo struct {
+	v atomic.Value
+}
+
+// Load returns the stored value, or nil.
+func (m *Memo) Load() any { return m.v.Load() }
+
+// Store records v, which must be derived from the frame's payload alone
+// and be safe to share read-only between receivers.
+func (m *Memo) Store(v any) { m.v.Store(v) }
+
+// Memo returns the transmission's shared memo, or nil when this delivery
+// is the only one with its payload.
+func (f *Frame) Memo() *Memo { return f.memo }
 
 // Quality describes one directed link.
 type Quality struct {
@@ -120,6 +146,25 @@ type Network struct {
 	// epoch, on the clock goroutine, outside the network mutex. Unused on
 	// the legacy path (which has no epochs).
 	epochObs func(EpochStats)
+
+	// send's per-call scratch, reused under mu and emptied before unlock.
+	sendTargets []sendTarget
+	sendDue     []pendingDelivery
+}
+
+// sendTarget is one receiver a transmission is offered to.
+type sendTarget struct {
+	nic *NIC
+	q   Quality
+}
+
+// pendingDelivery is one delivery a transmission produced. shared marks
+// the deliveries carrying the transmission's payload unmodified.
+type pendingDelivery struct {
+	nic    *NIC
+	frame  Frame
+	delay  time.Duration
+	shared bool
 }
 
 // New creates an empty medium on the given clock, running the
@@ -128,6 +173,7 @@ type Network struct {
 func New(clock vclock.Clock, seed int64) *Network {
 	n := newLegacy(clock, seed)
 	n.eng = &engine{net: n}
+	n.eng.runFn = n.eng.run
 	return n
 }
 
@@ -409,16 +455,12 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		}
 	}
 
-	type target struct {
-		nic *NIC
-		q   Quality
-	}
-	var targets []target
+	targets := n.sendTargets[:0]
 	if dst.IsBroadcast() {
 		// The adjacency index is sorted by destination, which fixes the
 		// delivery order under equal delays.
 		for _, nl := range n.adj[src] {
-			targets = append(targets, target{nl.nic, nl.q})
+			targets = append(targets, sendTarget{nl.nic, nl.q})
 		}
 	} else {
 		q, ok := n.links[linkKey{src, dst}]
@@ -440,17 +482,13 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 			}
 			return
 		}
-		targets = append(targets, target{nic, q})
+		targets = append(targets, sendTarget{nic, q})
 	}
 
 	// Copy the payload once; receivers must not alias the sender's buffer.
 	buf := append([]byte(nil), payload...)
-	type pending struct {
-		nic   *NIC
-		frame Frame
-		delay time.Duration
-	}
-	var due []pending
+	due := n.sendDue[:0]
+	shared := 0
 	for _, d := range targets {
 		if d.q.Loss > 0 && n.rng.Float64() < d.q.Loss {
 			n.stats.DroppedLoss++
@@ -470,34 +508,44 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		if n.inj != nil {
 			extras := n.inj.injectLocked(n, d.nic.addr, &frame, &delay)
 			for _, e := range extras {
-				due = append(due, pending{d.nic, e.frame, e.delay})
+				due = append(due, pendingDelivery{nic: d.nic, frame: e.frame, delay: e.delay})
 			}
 		}
-		due = append(due, pending{d.nic, frame, delay})
+		due = append(due, pendingDelivery{nic: d.nic, frame: frame, delay: delay, shared: !frame.Corrupted})
+		if !frame.Corrupted {
+			shared++
+		}
+	}
+	if shared >= 2 {
+		memo := &Memo{}
+		for i := range due {
+			if due[i].shared {
+				due[i].frame.memo = memo
+			}
+		}
 	}
 	if n.obs != nil && n.obs.linkDelay != nil {
 		for _, d := range due {
 			n.obs.linkDelay.Observe(d.delay)
 		}
 	}
-	if n.eng != nil {
-		for _, d := range due {
+	for _, d := range due {
+		if n.eng != nil {
 			dl := n.eng.newDeliveryLocked()
 			dl.nic = d.nic
 			dl.frame = d.frame
 			n.eng.scheduleLocked(dl, now.Add(d.delay))
+		} else {
+			n.clock.AfterFunc(d.delay, func() { d.nic.deliver(d.frame) })
 		}
 	}
+	clear(targets)
+	clear(due)
+	n.sendTargets, n.sendDue = targets[:0], due[:0]
 	n.mu.Unlock()
 
 	if txTap != nil {
 		txTap(Frame{Src: src, Dst: dst, Payload: payload, Device: device, Corr: corr})
-	}
-	if n.eng == nil {
-		for _, d := range due {
-			d := d
-			n.clock.AfterFunc(d.delay, func() { d.nic.deliver(d.frame) })
-		}
 	}
 }
 

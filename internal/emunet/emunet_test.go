@@ -443,3 +443,66 @@ func TestShardStatsReset(t *testing.T) {
 		t.Fatalf("post-reset stats %+v, want exactly one 4-byte tx/rx", s)
 	}
 }
+
+// TestBroadcastSharesMemo checks which deliveries share a decode memo: the
+// unmodified copies of one transmission with two or more of them do;
+// unicasts, corrupted copies and injected duplicates do not.
+func TestBroadcastSharesMemo(t *testing.T) {
+	for _, faults := range []bool{false, true} {
+		n, clk := newNet(t)
+		addrs := Addrs(5)
+		nics := make([]*NIC, len(addrs))
+		var got []Frame
+		for i, a := range addrs {
+			nics[i] = attach(t, n, a)
+			if i > 0 {
+				if err := n.SetLink(addrs[0], a, DefaultQuality()); err != nil {
+					t.Fatal(err)
+				}
+				nics[i].SetReceiver(func(f Frame) { got = append(got, f) })
+			}
+		}
+		if faults {
+			NewFaultPlan(10).CorruptFrames(0, time.Second, 0.5).DuplicateFrames(0, time.Second, 0.5).Apply(n)
+		}
+		if err := nics[0].Send(mnet.Broadcast, []byte("hello")); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Millisecond)
+		// The memo's deliveries are clean and share one payload buffer; no
+		// other delivery shares that buffer (duplicates and corrupted copies
+		// get their own).
+		var memo *Memo
+		var buf *byte
+		shared := 0
+		for _, f := range got {
+			if m := f.Memo(); m != nil {
+				if f.Corrupted || (memo != nil && (m != memo || &f.Payload[0] != buf)) {
+					t.Fatalf("faults=%v: memo on a corrupted copy or across payloads", faults)
+				}
+				memo, buf = m, &f.Payload[0]
+				shared++
+			}
+		}
+		for _, f := range got {
+			if f.Memo() == nil && &f.Payload[0] == buf {
+				t.Fatalf("faults=%v: a delivery of the shared payload lacks the memo", faults)
+			}
+		}
+		if !faults && shared != 4 {
+			t.Fatalf("clean broadcast: %d of 4 deliveries share the memo", shared)
+		}
+		if faults && (n.Stats().Corrupted == 0 || n.Stats().Duplicated == 0 || shared < 2) {
+			t.Fatalf("fault run: stats %+v, %d sharing deliveries", n.Stats(), shared)
+		}
+
+		got = nil
+		if err := nics[0].Send(addrs[1], []byte("unicast")); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Millisecond)
+		if len(got) == 0 || got[0].Memo() != nil {
+			t.Fatalf("faults=%v: unicast delivery %d frames, memo %v", faults, len(got), got)
+		}
+	}
+}

@@ -88,6 +88,7 @@ type engine struct {
 	seq      uint64
 	anchor   vclock.Timer
 	anchorAt time.Time // zero when no anchor is armed
+	runFn    func()    // run, bound once so arming allocates no closure
 
 	engStats EngineStats
 
@@ -96,13 +97,13 @@ type engine struct {
 	free  []*delivery
 }
 
-// newDeliveryLocked takes a delivery from the free list or allocates one.
+// newDeliveryLocked takes a (zeroed) delivery from the free list or
+// allocates one.
 func (e *engine) newDeliveryLocked() *delivery {
 	if n := len(e.free); n > 0 {
 		d := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		*d = delivery{}
 		return d
 	}
 	return &delivery{}
@@ -135,10 +136,10 @@ func (e *engine) armLocked(when time.Time) {
 	}
 	e.anchorAt = when
 	if v, ok := e.net.clock.(*vclock.Virtual); ok {
-		e.anchor = v.AfterFuncAt(when, e.run)
+		e.anchor = v.AfterFuncAt(when, e.runFn)
 		return
 	}
-	e.anchor = e.net.clock.AfterFunc(when.Sub(e.net.clock.Now()), e.run)
+	e.anchor = e.net.clock.AfterFunc(when.Sub(e.net.clock.Now()), e.runFn)
 }
 
 // rearmLocked re-establishes the anchor invariant after an epoch. A
@@ -194,6 +195,9 @@ func (e *engine) run() {
 
 	n.mu.Lock()
 	for i, d := range batch {
+		// Zeroed on recycling, so the free list keeps no payload or
+		// decode memo alive.
+		*d = delivery{}
 		e.free = append(e.free, d)
 		batch[i] = nil
 	}

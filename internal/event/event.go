@@ -69,7 +69,11 @@ const (
 type Event struct {
 	Type Type
 
-	// Msg is the PacketBB message for *_IN/*_OUT events.
+	// Msg is the PacketBB message for *_IN/*_OUT events. A received
+	// message is shared, read-only, by every receiver of its transmission
+	// and every handler it reaches: handlers must not write to it or to
+	// anything it references. Relay it with Msg.Forward() when only the
+	// hop fields change, and edit only a Msg.Clone().
 	Msg *packetbb.Message
 	// Src is the link-level sender for *_IN events.
 	Src mnet.Addr

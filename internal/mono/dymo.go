@@ -292,10 +292,7 @@ func (d *DYMO) HandleRREQ(msg *packetbb.Message, from mnet.Addr) {
 	if msg.HopLimit <= 1 {
 		return
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
-	d.send(fwd, mnet.Broadcast)
+	d.send(msg.Forward(), mnet.Broadcast)
 }
 
 // HandleRREP processes one route reply; exported for benchmarks.
@@ -321,10 +318,7 @@ func (d *DYMO) HandleRREP(msg *packetbb.Message, from mnet.Addr) {
 	if !valid || msg.HopLimit <= 1 {
 		return
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
-	d.send(fwd, next)
+	d.send(msg.Forward(), next)
 }
 
 func (d *DYMO) handleRERR(msg *packetbb.Message, from mnet.Addr) {

@@ -304,10 +304,7 @@ func (o *OLSR) HandleTC(msg *packetbb.Message, from mnet.Addr) {
 	o.mu.Unlock()
 
 	if forward {
-		fwd := msg.Clone()
-		fwd.HopLimit--
-		fwd.HopCount++
-		o.send(fwd)
+		o.send(msg.Forward())
 	}
 }
 

@@ -333,16 +333,18 @@ func (m *MPR) onHello(ctx *core.Context, ev *event.Event) error {
 	}
 	m.state.mu.Unlock()
 
-	cur, _ := m.state.Links.Get(src)
+	kind := event.ChangeKind(0)
 	if prev == 0 || prev == neighbor.StatusLost {
+		kind = event.NeighborAppeared
+	} else if prev == neighbor.StatusHeard && m.state.Links.Status(src) == neighbor.StatusSymmetric {
+		kind = event.NeighborSymmetric
+	}
+	if kind != 0 {
+		// Only an emitted change needs the 2-hop set copied out.
+		cur, _ := m.state.Links.Get(src)
 		ctx.Emit(&event.Event{
 			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborAppeared, Neighbor: src, TwoHopVia: cur.TwoHop},
-		})
-	} else if prev == neighbor.StatusHeard && cur.Status == neighbor.StatusSymmetric {
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborSymmetric, Neighbor: src, TwoHopVia: cur.TwoHop},
+			Nhood: &event.NhoodPayload{Kind: kind, Neighbor: src, TwoHopVia: cur.TwoHop},
 		})
 	}
 	m.recompute(ctx, changedSel)

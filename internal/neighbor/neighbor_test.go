@@ -33,6 +33,9 @@ func TestTableObserveTransitions(t *testing.T) {
 	if info.Status != StatusSymmetric || info.Willingness != 5 || len(info.TwoHop) != 1 {
 		t.Fatalf("after sym hello: %+v", info)
 	}
+	if st, unknown := tb.Status(nb), tb.Status(addr("10.0.0.9")); st != StatusSymmetric || unknown != 0 {
+		t.Fatalf("Status = %v, unknown neighbour %v", st, unknown)
+	}
 	// A hello no longer listing us demotes to heard.
 	tb.Observe(nb, false, 5, nil, now)
 	info, _ = tb.Get(nb)

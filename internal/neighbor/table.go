@@ -146,6 +146,17 @@ func (t *Table) Get(nb mnet.Addr) (Info, bool) {
 	return t.snapshotLocked(e), true
 }
 
+// Status returns nb's link status, 0 when nb is unknown, without copying
+// its 2-hop set as Get does.
+func (t *Table) Status(nb mnet.Addr) Status {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.entries[nb]; ok {
+		return e.Status
+	}
+	return 0
+}
+
 // Neighbors returns all non-lost neighbours, sorted by address.
 func (t *Table) Neighbors() []Info {
 	return t.filter(func(e *Info) bool { return e.Status != StatusLost })

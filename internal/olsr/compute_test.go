@@ -203,7 +203,7 @@ func TestComputeRoutesMatchesReference(t *testing.T) {
 					adv = append(adv, nodeAddr(rng.Intn(n)))
 				}
 				expiry := clk.Now().Add(time.Duration(1+rng.Intn(5)) * time.Second)
-				s.RecordTC(orig, ansn, adv, expiry)
+				s.RecordTC(orig, ansn, advertise(adv...), expiry)
 				model.recordTC(orig, ansn, adv, expiry)
 			}
 			gotE, wantE := s.Edges(clk.Now()), model.edges(clk.Now())
@@ -229,8 +229,8 @@ func TestComputeRoutesCanonicalTieBreak(t *testing.T) {
 	a, b, d := addr("10.0.0.2"), addr("10.0.0.3"), addr("10.0.0.9")
 	exp := clk.Now().Add(time.Minute)
 	// Diamond: both neighbours advertise d — two equal-cost 2-hop paths.
-	s.RecordTC(b, 1, []mnet.Addr{d}, exp) // deliberately record the larger hop first
-	s.RecordTC(a, 1, []mnet.Addr{d}, exp)
+	s.RecordTC(b, 1, advertise(d), exp) // deliberately record the larger hop first
+	s.RecordTC(a, 1, advertise(d), exp)
 	s.ComputeRoutes(self, []mnet.Addr{a, b}, nil, clk.Now(), time.Minute, "olsr")
 	e, ok := s.Routes.Get(mnet.HostPrefix(d))
 	if !ok || e.Paths[0].NextHop != a || e.Paths[0].Metric != 2 {
@@ -247,7 +247,7 @@ func TestComputeRoutesInstallsHNA(t *testing.T) {
 	nb, gw := addr("10.0.0.2"), addr("10.0.0.5")
 	p := mnet.Prefix{Addr: addr("192.168.7.0"), Bits: 24}
 	exp := clk.Now().Add(time.Minute)
-	s.RecordTC(nb, 1, []mnet.Addr{gw}, exp)
+	s.RecordTC(nb, 1, advertise(gw), exp)
 	s.hna = map[mnet.Prefix]hnaEntry{p: {gateway: gw, expires: exp}}
 
 	s.ComputeRoutes(self, []mnet.Addr{nb}, nil, clk.Now(), time.Minute, "olsr")
@@ -276,7 +276,7 @@ func buildRing(s *State, n int, expiry time.Time) {
 			nodeAddr((i - 1 + n) % n),
 			nodeAddr((i - 2 + n) % n),
 		}
-		s.RecordTC(nodeAddr(i), 1, adv, expiry)
+		s.RecordTC(nodeAddr(i), 1, advertise(adv...), expiry)
 	}
 }
 

@@ -212,7 +212,7 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 	}
 	// Per RFC 3626 §9.5: discard TCs whose previous hop is not a symmetric
 	// neighbour.
-	if nb, ok := o.m.State().Links.Get(ev.Src); !ok || nb.Status != neighbor.StatusSymmetric {
+	if o.m.State().Links.Status(ev.Src) != neighbor.StatusSymmetric {
 		return nil
 	}
 	o.mTCRx.Inc()
@@ -222,12 +222,8 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 			ansn = v
 		}
 	}
-	var advertised []mnet.Addr
-	for bi := range msg.AddrBlocks {
-		advertised = append(advertised, msg.AddrBlocks[bi].Addrs...)
-	}
 	now := ctx.Clock().Now()
-	changed := o.state.RecordTC(msg.Originator, ansn, advertised, now.Add(o.cfg.TopologyHold))
+	changed := o.state.RecordTC(msg.Originator, ansn, msg.AddrBlocks, now.Add(o.cfg.TopologyHold))
 
 	// Power-aware: learn the originator's residual battery.
 	if tlv, ok := msg.FindTLV(TLVResidualPower); ok {
@@ -240,11 +236,8 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 	}
 	// MPR-optimised flood forwarding.
 	if msg.HopLimit > 1 && o.m.Flooder().ShouldForward(msg.Originator, msg.SeqNum, ev.Src, now) {
-		fwd := msg.Clone()
-		fwd.HopLimit--
-		fwd.HopCount++
 		o.mTCFwd.Inc()
-		ctx.Emit(&event.Event{Type: event.TCOut, Msg: fwd, Dst: mnet.Broadcast})
+		ctx.Emit(&event.Event{Type: event.TCOut, Msg: msg.Forward(), Dst: mnet.Broadcast})
 	}
 	return nil
 }

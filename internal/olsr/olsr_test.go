@@ -40,19 +40,24 @@ func TestSeqOlder(t *testing.T) {
 	}
 }
 
+// advertise wraps addresses in the address block a TC would carry them in.
+func advertise(addrs ...mnet.Addr) []packetbb.AddrBlock {
+	return []packetbb.AddrBlock{{Addrs: addrs}}
+}
+
 func TestRecordTCANSN(t *testing.T) {
 	s, clk := newState()
 	orig := addr("10.0.0.2")
 	exp := clk.Now().Add(15 * time.Second)
-	if !s.RecordTC(orig, 5, []mnet.Addr{addr("10.0.0.3")}, exp) {
+	if !s.RecordTC(orig, 5, advertise(addr("10.0.0.3")), exp) {
 		t.Fatal("fresh TC reported unchanged")
 	}
 	// Stale ANSN rejected.
-	if s.RecordTC(orig, 4, []mnet.Addr{addr("10.0.0.9")}, exp) {
+	if s.RecordTC(orig, 4, advertise(addr("10.0.0.9")), exp) {
 		t.Fatal("stale ANSN accepted")
 	}
 	// Newer ANSN flushes old tuples.
-	if !s.RecordTC(orig, 6, []mnet.Addr{addr("10.0.0.4")}, exp) {
+	if !s.RecordTC(orig, 6, advertise(addr("10.0.0.4")), exp) {
 		t.Fatal("fresher TC reported unchanged")
 	}
 	edges := s.Edges(clk.Now())
@@ -60,7 +65,7 @@ func TestRecordTCANSN(t *testing.T) {
 		t.Fatalf("edges = %v", edges)
 	}
 	// Self-loop advertisements are ignored.
-	s.RecordTC(orig, 7, []mnet.Addr{orig}, exp)
+	s.RecordTC(orig, 7, advertise(orig), exp)
 	if len(s.Edges(clk.Now())) != 0 {
 		t.Fatal("self-edge recorded")
 	}
@@ -68,7 +73,7 @@ func TestRecordTCANSN(t *testing.T) {
 
 func TestPurgeTopo(t *testing.T) {
 	s, clk := newState()
-	s.RecordTC(addr("10.0.0.2"), 1, []mnet.Addr{addr("10.0.0.3")}, clk.Now().Add(time.Second))
+	s.RecordTC(addr("10.0.0.2"), 1, advertise(addr("10.0.0.3")), clk.Now().Add(time.Second))
 	if s.PurgeTopo(clk.Now()) {
 		t.Fatal("unexpired tuple purged")
 	}
@@ -84,9 +89,9 @@ func TestComputeRoutesChain(t *testing.T) {
 	n2, n3, n4, n5 := addr("10.0.0.2"), addr("10.0.0.3"), addr("10.0.0.4"), addr("10.0.0.5")
 	exp := clk.Now().Add(time.Minute)
 	// Topology: 2-3 (from 2's TC), 3-4, 4-5.
-	s.RecordTC(n2, 1, []mnet.Addr{n3}, exp)
-	s.RecordTC(n3, 1, []mnet.Addr{n2, n4}, exp)
-	s.RecordTC(n4, 1, []mnet.Addr{n3, n5}, exp)
+	s.RecordTC(n2, 1, advertise(n3), exp)
+	s.RecordTC(n3, 1, advertise(n2, n4), exp)
+	s.RecordTC(n4, 1, advertise(n3, n5), exp)
 
 	n := s.ComputeRoutes(self, []mnet.Addr{n2}, map[mnet.Addr][]mnet.Addr{n3: {n2}}, clk.Now(), time.Minute, "olsr")
 	if n != 4 {
@@ -112,7 +117,7 @@ func TestComputeRoutesRemovesStale(t *testing.T) {
 	self := addr("10.0.0.1")
 	n2, n3 := addr("10.0.0.2"), addr("10.0.0.3")
 	exp := clk.Now().Add(time.Minute)
-	s.RecordTC(n2, 1, []mnet.Addr{n3}, exp)
+	s.RecordTC(n2, 1, advertise(n3), exp)
 	s.ComputeRoutes(self, []mnet.Addr{n2}, nil, clk.Now(), time.Minute, "olsr")
 	if s.Routes.ValidCount() != 2 {
 		t.Fatalf("ValidCount = %d", s.Routes.ValidCount())

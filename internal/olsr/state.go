@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"manetkit/internal/mnet"
+	"manetkit/internal/packetbb"
 	"manetkit/internal/route"
 )
 
@@ -199,11 +200,12 @@ func (s *State) BumpANSN() {
 }
 
 // RecordTC folds a TC message into the topology set: tuples (orig → dest)
-// for each advertised address, expiring at expiry. Stale ANSNs are
+// for each address of the TC's address blocks, which it reads in place and
+// does not retain, expiring at expiry. Stale ANSNs are
 // rejected; a fresher ANSN first flushes the originator's old tuples —
 // O(degree) on the per-originator index, where the flat tuple set forced a
 // full O(E) scan per fresher TC. It reports whether the topology changed.
-func (s *State) RecordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, expiry time.Time) bool {
+func (s *State) RecordTC(orig mnet.Addr, ansn uint16, blocks []packetbb.AddrBlock, expiry time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prev, known := s.ansn[orig]
@@ -220,22 +222,32 @@ func (s *State) RecordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, ex
 		changed = true
 	}
 	s.ansn[orig] = ansn
-	for _, d := range advertised {
-		if d == orig {
-			continue
+	for bi := range blocks {
+		for _, d := range blocks[bi].Addrs {
+			if d == orig {
+				continue
+			}
+			if ot == nil {
+				ot = &origTopo{dests: make(map[mnet.Addr]time.Time, advertisedLen(blocks))}
+				s.topo[orig] = ot
+			}
+			if _, ok := ot.dests[d]; !ok {
+				changed = true
+				s.tuples++
+				ot.stale = true
+			}
+			ot.dests[d] = expiry
 		}
-		if ot == nil {
-			ot = &origTopo{dests: make(map[mnet.Addr]time.Time, len(advertised))}
-			s.topo[orig] = ot
-		}
-		if _, ok := ot.dests[d]; !ok {
-			changed = true
-			s.tuples++
-			ot.stale = true
-		}
-		ot.dests[d] = expiry
 	}
 	return changed
+}
+
+func advertisedLen(blocks []packetbb.AddrBlock) int {
+	n := 0
+	for bi := range blocks {
+		n += len(blocks[bi].Addrs)
+	}
+	return n
 }
 
 // seqOlder reports whether a is older than b under 16-bit serial-number

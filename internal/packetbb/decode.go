@@ -1,7 +1,9 @@
 package packetbb
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"manetkit/internal/mnet"
 )
@@ -10,6 +12,9 @@ import (
 type decoder struct {
 	buf []byte
 	off int
+	// nonCanonical records that an element read through d is encoded
+	// differently from how the encoder would encode its decoded value.
+	nonCanonical bool
 }
 
 func (d *decoder) remaining() int { return len(d.buf) - d.off }
@@ -41,8 +46,15 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
-// DecodePacket parses a wire-form packet.
+// DecodePacket parses a wire-form packet. The result does not alias buf.
 func DecodePacket(buf []byte) (*Packet, error) {
+	return DecodePacketView(bytes.Clone(buf))
+}
+
+// DecodePacketView parses a wire-form packet whose bytes stay unmodified
+// for as long as the result is in use: TLV values, prefix lengths and the
+// messages' wire bytes alias buf instead of being copied.
+func DecodePacketView(buf []byte) (*Packet, error) {
 	d := &decoder{buf: buf}
 	flags, err := d.u8()
 	if err != nil {
@@ -51,7 +63,13 @@ func DecodePacket(buf []byte) (*Packet, error) {
 	if flags&^(pktFlagHasSeq|pktFlagHasTLVs) != 0 {
 		return nil, fmt.Errorf("%w: unknown packet flags %#x", ErrMalformed, flags)
 	}
-	p := &Packet{}
+	// Most packets carry one message: allocate it with the packet.
+	pm := &struct {
+		p Packet
+		m [1]Message
+	}{}
+	p := &pm.p
+	p.Messages = pm.m[:0]
 	if flags&pktFlagHasSeq != 0 {
 		p.HasSeqNum = true
 		if p.SeqNum, err = d.u16(); err != nil {
@@ -64,21 +82,20 @@ func DecodePacket(buf []byte) (*Packet, error) {
 		}
 	}
 	for d.remaining() > 0 {
-		m, err := decodeMessage(d)
-		if err != nil {
-			return nil, fmt.Errorf("message %d: %w", len(p.Messages), err)
+		p.Messages = append(p.Messages, Message{})
+		if err := decodeMessage(d, &p.Messages[len(p.Messages)-1]); err != nil {
+			return nil, fmt.Errorf("message %d: %w", len(p.Messages)-1, err)
 		}
-		p.Messages = append(p.Messages, *m)
 	}
 	return p, nil
 }
 
 // DecodeMessage parses a single wire-form message; it requires the buffer to
-// contain exactly one message.
+// contain exactly one message. The result does not alias buf.
 func DecodeMessage(buf []byte) (*Message, error) {
-	d := &decoder{buf: buf}
-	m, err := decodeMessage(d)
-	if err != nil {
+	d := &decoder{buf: bytes.Clone(buf)}
+	m := &Message{}
+	if err := decodeMessage(d, m); err != nil {
 		return nil, err
 	}
 	if d.remaining() != 0 {
@@ -87,75 +104,84 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	return m, nil
 }
 
-func decodeMessage(d *decoder) (*Message, error) {
+// decodeMessage parses one message into m, which must be zero. Its fields
+// alias d's buffer.
+func decodeMessage(d *decoder, m *Message) error {
+	start := d.off
 	typ, err := d.u8()
 	if err != nil {
-		return nil, fmt.Errorf("type: %w", err)
+		return fmt.Errorf("type: %w", err)
 	}
 	flags, err := d.u8()
 	if err != nil {
-		return nil, fmt.Errorf("flags: %w", err)
+		return fmt.Errorf("flags: %w", err)
 	}
 	if flags&^(msgFlagHasOrig|msgFlagHasHopLimit|msgFlagHasHopCount|msgFlagHasSeq) != 0 {
-		return nil, fmt.Errorf("%w: unknown message flags %#x", ErrMalformed, flags)
+		return fmt.Errorf("%w: unknown message flags %#x", ErrMalformed, flags)
 	}
 	size, err := d.u16()
 	if err != nil {
-		return nil, fmt.Errorf("size: %w", err)
+		return fmt.Errorf("size: %w", err)
 	}
 	// The size field counts the whole message including the 4 header bytes
 	// already consumed.
 	if int(size) < 4 {
-		return nil, fmt.Errorf("%w: message size %d", ErrMalformed, size)
+		return fmt.Errorf("%w: message size %d", ErrMalformed, size)
 	}
 	body, err := d.bytes(int(size) - 4)
 	if err != nil {
-		return nil, fmt.Errorf("body (%d bytes): %w", size-4, err)
+		return fmt.Errorf("body (%d bytes): %w", size-4, err)
 	}
 	md := &decoder{buf: body}
 
-	m := &Message{Type: MsgType(typ)}
+	m.Type = MsgType(typ)
 	if flags&msgFlagHasOrig != 0 {
 		m.HasOriginator = true
 		ob, err := md.bytes(mnet.AddrLen)
 		if err != nil {
-			return nil, fmt.Errorf("originator: %w", err)
+			return fmt.Errorf("originator: %w", err)
 		}
 		copy(m.Originator[:], ob)
 	}
 	if flags&msgFlagHasHopLimit != 0 {
 		m.HasHopLimit = true
 		if m.HopLimit, err = md.u8(); err != nil {
-			return nil, fmt.Errorf("hop limit: %w", err)
+			return fmt.Errorf("hop limit: %w", err)
 		}
 	}
 	if flags&msgFlagHasHopCount != 0 {
 		m.HasHopCount = true
 		if m.HopCount, err = md.u8(); err != nil {
-			return nil, fmt.Errorf("hop count: %w", err)
+			return fmt.Errorf("hop count: %w", err)
 		}
 	}
 	if flags&msgFlagHasSeq != 0 {
 		m.HasSeqNum = true
 		if m.SeqNum, err = md.u16(); err != nil {
-			return nil, fmt.Errorf("seqnum: %w", err)
+			return fmt.Errorf("seqnum: %w", err)
 		}
 	}
 	if m.TLVs, _, err = decodeTLVBlock(md, false); err != nil {
-		return nil, fmt.Errorf("message TLVs: %w", err)
+		return fmt.Errorf("message TLVs: %w", err)
 	}
 	for md.remaining() > 0 {
-		b, err := decodeAddrBlock(md)
-		if err != nil {
-			return nil, fmt.Errorf("address block %d: %w", len(m.AddrBlocks), err)
+		m.AddrBlocks = append(m.AddrBlocks, AddrBlock{})
+		b := &m.AddrBlocks[len(m.AddrBlocks)-1]
+		if err := decodeAddrBlock(md, b); err != nil {
+			return fmt.Errorf("address block %d: %w", len(m.AddrBlocks)-1, err)
 		}
-		m.AddrBlocks = append(m.AddrBlocks, *b)
 	}
-	return m, nil
+	// Only bytes the encoder would reproduce may be re-emitted verbatim:
+	// a forwarder must send what a re-encode of the fields would send.
+	if !md.nonCanonical {
+		m.wire = d.buf[start:d.off:d.off]
+	}
+	return nil
 }
 
 // decodeTLVBlock reads one TLV block. With indexed=false it returns message
-// TLVs (rejecting indexed entries); with indexed=true the reverse.
+// TLVs (rejecting indexed entries); with indexed=true the reverse. Values
+// alias d's buffer; each returned slice is allocated once, at its length.
 func decodeTLVBlock(d *decoder, indexed bool) ([]TLV, []AddrTLV, error) {
 	blockLen, err := d.u16()
 	if err != nil {
@@ -166,8 +192,9 @@ func decodeTLVBlock(d *decoder, indexed bool) ([]TLV, []AddrTLV, error) {
 		return nil, nil, fmt.Errorf("block body: %w", err)
 	}
 	bd := &decoder{buf: block}
-	var tlvs []TLV
-	var atlvs []AddrTLV
+	var tlvBuf [8]TLV
+	var atlvBuf [8]AddrTLV
+	tlvs, atlvs := tlvBuf[:0], atlvBuf[:0]
 	for bd.remaining() > 0 {
 		typ, err := bd.u8()
 		if err != nil {
@@ -216,7 +243,12 @@ func decodeTLVBlock(d *decoder, indexed bool) ([]TLV, []AddrTLV, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("TLV value (%d bytes): %w", vlen, err)
 			}
-			value = append([]byte(nil), raw...)
+			if vlen > 0 {
+				value = raw[:vlen:vlen]
+			}
+			if vlen == 0 || (vlen > 255) != (flags&tlvFlagWideLen != 0) {
+				d.nonCanonical = true
+			}
 		} else if flags&tlvFlagWideLen != 0 {
 			return nil, nil, fmt.Errorf("%w: wide-length flag without value", ErrMalformed)
 		}
@@ -226,70 +258,83 @@ func decodeTLVBlock(d *decoder, indexed bool) ([]TLV, []AddrTLV, error) {
 			tlvs = append(tlvs, TLV{Type: typ, Value: value})
 		}
 	}
-	return tlvs, atlvs, nil
+	// Empty lists stay nil, as the decoder has always returned them.
+	var outTLVs []TLV
+	var outATLVs []AddrTLV
+	if len(tlvs) > 0 {
+		outTLVs = slices.Clone(tlvs)
+	}
+	if len(atlvs) > 0 {
+		outATLVs = slices.Clone(atlvs)
+	}
+	return outTLVs, outATLVs, nil
 }
 
-func decodeAddrBlock(d *decoder) (*AddrBlock, error) {
+// decodeAddrBlock parses one address block into b, which must be zero.
+func decodeAddrBlock(d *decoder, b *AddrBlock) error {
 	num, err := d.u8()
 	if err != nil {
-		return nil, fmt.Errorf("address count: %w", err)
+		return fmt.Errorf("address count: %w", err)
 	}
 	if num == 0 {
-		return nil, fmt.Errorf("%w: empty address block", ErrMalformed)
+		return fmt.Errorf("%w: empty address block", ErrMalformed)
 	}
 	flags, err := d.u8()
 	if err != nil {
-		return nil, fmt.Errorf("flags: %w", err)
+		return fmt.Errorf("flags: %w", err)
 	}
 	if flags&^(abFlagHasHead|abFlagHasPrefixes) != 0 {
-		return nil, fmt.Errorf("%w: unknown address block flags %#x", ErrMalformed, flags)
+		return fmt.Errorf("%w: unknown address block flags %#x", ErrMalformed, flags)
 	}
 	headLen := 0
 	var head []byte
 	if flags&abFlagHasHead != 0 {
 		hl, err := d.u8()
 		if err != nil {
-			return nil, fmt.Errorf("head length: %w", err)
+			return fmt.Errorf("head length: %w", err)
 		}
 		if int(hl) == 0 || int(hl) >= mnet.AddrLen {
-			return nil, fmt.Errorf("%w: head length %d", ErrMalformed, hl)
+			return fmt.Errorf("%w: head length %d", ErrMalformed, hl)
 		}
 		headLen = int(hl)
 		if head, err = d.bytes(headLen); err != nil {
-			return nil, fmt.Errorf("head bytes: %w", err)
+			return fmt.Errorf("head bytes: %w", err)
 		}
 	}
-	b := &AddrBlock{Addrs: make([]mnet.Addr, num)}
+	b.Addrs = make([]mnet.Addr, num)
 	tail := mnet.AddrLen - headLen
 	for i := range b.Addrs {
 		tb, err := d.bytes(tail)
 		if err != nil {
-			return nil, fmt.Errorf("address %d: %w", i, err)
+			return fmt.Errorf("address %d: %w", i, err)
 		}
 		copy(b.Addrs[i][:headLen], head)
 		copy(b.Addrs[i][headLen:], tb)
 	}
+	if headLen != commonHead(b.Addrs) {
+		d.nonCanonical = true
+	}
 	if flags&abFlagHasPrefixes != 0 {
 		pb, err := d.bytes(int(num))
 		if err != nil {
-			return nil, fmt.Errorf("prefix lengths: %w", err)
+			return fmt.Errorf("prefix lengths: %w", err)
 		}
-		b.PrefixLens = append([]uint8(nil), pb...)
+		b.PrefixLens = pb[:num:num]
 		for _, p := range b.PrefixLens {
 			if int(p) > 8*mnet.AddrLen {
-				return nil, fmt.Errorf("%w: prefix length %d", ErrMalformed, p)
+				return fmt.Errorf("%w: prefix length %d", ErrMalformed, p)
 			}
 		}
 	}
 	_, atlvs, err := decodeTLVBlock(d, true)
 	if err != nil {
-		return nil, fmt.Errorf("address TLVs: %w", err)
+		return fmt.Errorf("address TLVs: %w", err)
 	}
 	for _, tlv := range atlvs {
 		if int(tlv.IndexStop) >= int(num) {
-			return nil, fmt.Errorf("%w: TLV index %d over %d addresses", ErrMalformed, tlv.IndexStop, num)
+			return fmt.Errorf("%w: TLV index %d over %d addresses", ErrMalformed, tlv.IndexStop, num)
 		}
 	}
 	b.TLVs = atlvs
-	return b, nil
+	return nil
 }

@@ -30,6 +30,12 @@ const (
 
 // EncodePacket serialises a packet to its wire form.
 func EncodePacket(p *Packet) ([]byte, error) {
+	return AppendPacket(make([]byte, 0, 64), p)
+}
+
+// AppendPacket appends the wire form of p to dst and returns the extended
+// slice.
+func AppendPacket(dst []byte, p *Packet) ([]byte, error) {
 	flags := byte(0)
 	if p.HasSeqNum {
 		flags |= pktFlagHasSeq
@@ -37,8 +43,7 @@ func EncodePacket(p *Packet) ([]byte, error) {
 	if len(p.TLVs) > 0 {
 		flags |= pktFlagHasTLVs
 	}
-	buf := make([]byte, 0, 64)
-	buf = append(buf, flags)
+	buf := append(dst, flags)
 	if p.HasSeqNum {
 		buf = append(buf, byte(p.SeqNum>>8), byte(p.SeqNum))
 	}
@@ -50,11 +55,11 @@ func EncodePacket(p *Packet) ([]byte, error) {
 		}
 	}
 	for i := range p.Messages {
-		mb, err := EncodeMessage(&p.Messages[i])
+		var err error
+		buf, err = appendMessage(buf, &p.Messages[i])
 		if err != nil {
 			return nil, fmt.Errorf("message %d: %w", i, err)
 		}
-		buf = append(buf, mb...)
 	}
 	return buf, nil
 }
@@ -62,6 +67,16 @@ func EncodePacket(p *Packet) ([]byte, error) {
 // EncodeMessage serialises a single message. Header fields that are zero are
 // omitted from the wire unless the corresponding Has flag is set.
 func EncodeMessage(m *Message) ([]byte, error) {
+	return appendMessage(make([]byte, 0, 64), m)
+}
+
+// appendMessage appends m's wire form to buf: for a Forward copy of a
+// decoded message, the original's wire bytes with the hop fields patched;
+// for any other message, an encoding of its fields.
+func appendMessage(buf []byte, m *Message) ([]byte, error) {
+	if out, ok := appendPatched(buf, m); ok {
+		return out, nil
+	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,7 +100,7 @@ func EncodeMessage(m *Message) ([]byte, error) {
 	}
 
 	// Header: type, flags, u16 total size (patched at the end).
-	buf := make([]byte, 0, 64)
+	start := len(buf)
 	buf = append(buf, byte(m.Type), flags, 0, 0)
 	if hasOrig {
 		buf = append(buf, m.Originator[:]...)
@@ -111,12 +126,79 @@ func EncodeMessage(m *Message) ([]byte, error) {
 			return nil, fmt.Errorf("address block %d: %w", i, err)
 		}
 	}
-	if len(buf) > maxMsgSize {
-		return nil, fmt.Errorf("%w: message of %d bytes", ErrTooLarge, len(buf))
+	size := len(buf) - start
+	if size > maxMsgSize {
+		return nil, fmt.Errorf("%w: message of %d bytes", ErrTooLarge, size)
 	}
-	buf[2] = byte(len(buf) >> 8)
-	buf[3] = byte(len(buf))
+	buf[start+2] = byte(size >> 8)
+	buf[start+3] = byte(size)
 	return buf, nil
+}
+
+// appendPatched appends the wire bytes a Forward copy m was made from, with
+// m's hop limit and hop count written into the header, splicing in a
+// hop-count field when the wire has none and m needs one. It reports false,
+// appending nothing, when m is not a Forward copy or its other header
+// fields no longer match the wire; the caller then encodes m's fields,
+// which yields the same bytes whenever the body is unchanged.
+func appendPatched(buf []byte, m *Message) ([]byte, bool) {
+	w := m.fwdWire
+	if w == nil || MsgType(w[0]) != m.Type {
+		return buf, false
+	}
+	flags := w[1]
+	off := 4
+	if has := flags&msgFlagHasOrig != 0; has != (m.HasOriginator || !m.Originator.IsUnspecified()) ||
+		has && mnet.Addr(w[off:off+mnet.AddrLen]) != m.Originator {
+		return buf, false
+	}
+	if flags&msgFlagHasOrig != 0 {
+		off += mnet.AddrLen
+	}
+	if has := flags&msgFlagHasHopLimit != 0; has != (m.HasHopLimit || m.HopLimit != 0) {
+		return buf, false
+	}
+	hopLimitAt := -1
+	if flags&msgFlagHasHopLimit != 0 {
+		hopLimitAt = off
+		off++
+	}
+	hopCountAt := -1
+	if flags&msgFlagHasHopCount != 0 {
+		hopCountAt = off
+		off++
+	}
+	if has := flags&msgFlagHasSeq != 0; has != (m.HasSeqNum || m.SeqNum != 0) ||
+		has && uint16(w[off])<<8|uint16(w[off+1]) != m.SeqNum {
+		return buf, false
+	}
+	splice := hopCountAt < 0 && (m.HasHopCount || m.HopCount != 0)
+	if splice && len(w)+1 > maxMsgSize {
+		return buf, false
+	}
+
+	start := len(buf)
+	if !splice {
+		buf = append(buf, w...)
+	} else {
+		// The hop-count field goes where the encoder puts it: right after
+		// the hop limit, before the sequence number.
+		buf = append(buf, w[:off]...)
+		buf = append(buf, m.HopCount)
+		buf = append(buf, w[off:]...)
+		hopCountAt = off
+		size := len(w) + 1
+		buf[start+1] |= msgFlagHasHopCount
+		buf[start+2] = byte(size >> 8)
+		buf[start+3] = byte(size)
+	}
+	if hopLimitAt >= 0 {
+		buf[start+hopLimitAt] = m.HopLimit
+	}
+	if hopCountAt >= 0 {
+		buf[start+hopCountAt] = m.HopCount
+	}
+	return buf, true
 }
 
 // appendTLVBlock writes a TLV block containing msgTLVs (index-less) or

@@ -2,6 +2,11 @@ package packetbb
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"manetkit/internal/mnet"
@@ -138,6 +143,97 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("encode/decode not a fixed point:\nfirst:  % x\nsecond: % x", enc, enc2)
+		}
+	})
+}
+
+// corpusSeeds returns the inputs of a committed fuzz corpus under testdata.
+func corpusSeeds(tb testing.TB, target string) [][]byte {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+			tb.Fatalf("%s: not a one-value []byte corpus file", name)
+		}
+		v, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, []byte(v))
+	}
+	return out
+}
+
+// FuzzForwardPatch is the differential check of forwarding by patching:
+// for every message of a decodable packet whose hop limit allows a
+// forward, encoding Forward() must give the bytes of EncodeMessage over a
+// Clone with the same hop edits, and both must decode to equal messages.
+// Each message is checked as decoded (non-canonical input falls back to
+// re-encoding) and after one canonicalising round trip (patched in place,
+// with the hop-count field spliced in when the originator omitted it).
+func FuzzForwardPatch(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
+	for _, seed := range corpusSeeds(f, "FuzzDecodePacket") {
+		f.Add(seed)
+	}
+	// A TC whose ANSN value is framed with a wide length: decodable, but
+	// not what the encoder writes, so it must be re-encoded, not patched.
+	f.Add([]byte{0x00,
+		0x02, 0x0b, 0x00, 0x13, 0x0a, 0x00, 0x00, 0x02, 0x05, 0x03, 0x84,
+		0x00, 0x06, TLVANSN, tlvFlagHasValue | tlvFlagWideLen, 0x00, 0x02, 0x00, 0x11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pkt, err := DecodePacket(data)
+		if err != nil {
+			return
+		}
+		for i := range pkt.Messages {
+			m := &pkt.Messages[i]
+			canon, err := EncodeMessage(m.Clone())
+			if err != nil {
+				t.Fatalf("message %d failed to re-encode: %v", i, err)
+			}
+			cm, err := DecodeMessage(canon)
+			if err != nil {
+				t.Fatalf("canonical message %d failed to decode: %v", i, err)
+			}
+			if cm.Wire() == nil {
+				t.Fatalf("encoder output decoded as non-canonical:\n% x", canon)
+			}
+			for _, msg := range []*Message{m, cm} {
+				if msg.HopLimit <= 1 {
+					continue
+				}
+				patched, err := EncodeMessage(msg.Forward())
+				if err != nil {
+					t.Fatalf("encoding forwarded message %d: %v", i, err)
+				}
+				edited := msg.Clone()
+				edited.HopLimit--
+				edited.HopCount++
+				want, err := EncodeMessage(edited)
+				if err != nil {
+					t.Fatalf("encoding edited clone %d: %v", i, err)
+				}
+				if !bytes.Equal(patched, want) {
+					t.Fatalf("message %d: patched bytes differ from re-encode\npatched: % x\nwant:    % x", i, patched, want)
+				}
+				a, errA := DecodeMessage(patched)
+				b, errB := DecodeMessage(want)
+				if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+					t.Fatalf("message %d: patched and re-encoded decode differently (%v, %v)", i, errA, errB)
+				}
+			}
 		}
 	})
 }

@@ -123,6 +123,17 @@ type Message struct {
 
 	TLVs       []TLV
 	AddrBlocks []AddrBlock
+
+	// wire is the message's own encoding when it was decoded from bytes
+	// that EncodeMessage would reproduce from the decoded fields; nil for
+	// messages built in code, for clones, for Forward copies, and for
+	// non-canonical input.
+	wire []byte
+	// fwdWire is set only on a Forward copy: the wire bytes of the decoded
+	// message it was forwarded from. The encoder re-emits them with the
+	// copy's hop fields patched in instead of re-encoding the body; every
+	// other message is encoded from its fields.
+	fwdWire []byte
 }
 
 // Packet is the top-level wire unit: an optional packet sequence number,
@@ -172,10 +183,33 @@ func (b *AddrBlock) AddrTLVFor(typ uint8, i int) (AddrTLV, bool) {
 	return AddrTLV{}, false
 }
 
+// Forward returns the copy a relay transmits: hop limit one lower, hop
+// count one higher. The copy's header fields are its own; its TLVs and
+// address blocks are m's and must not be modified (Clone a message whose
+// body changes). Encoding the copy of a decoded message copies m's wire
+// bytes and patches the two hop fields — splicing the hop-count field in
+// when the originator omitted it — rather than re-encoding the body.
+func (m *Message) Forward() *Message {
+	c := *m
+	if m.wire != nil {
+		c.fwdWire = m.wire
+	}
+	c.wire = nil
+	c.HopLimit--
+	c.HopCount++
+	return &c
+}
+
+// Wire returns the bytes m was decoded from, or nil when m was built in
+// code, cloned, forwarded, or decoded from a non-canonical encoding. The
+// bytes are shared and must not be modified.
+func (m *Message) Wire() []byte { return m.wire }
+
 // Clone returns a deep copy of the message, so a handler can mutate its copy
 // (e.g. a fisheye interposer rewriting hop limits) without aliasing.
 func (m *Message) Clone() *Message {
 	c := *m
+	c.wire, c.fwdWire = nil, nil
 	c.TLVs = cloneTLVs(m.TLVs)
 	if m.AddrBlocks == nil {
 		return &c

@@ -44,9 +44,11 @@ func TestMessageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeMessage: %v", err)
 	}
-	// Encode sets Has flags implicitly; normalise before comparing.
+	// Encode sets Has flags implicitly; normalise before comparing. The
+	// decoded message also keeps the canonical bytes it came from.
 	want := *m
 	want.HasOriginator, want.HasHopLimit, want.HasSeqNum = true, true, true
+	want.wire = wire
 	if !reflect.DeepEqual(got, &want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, &want)
 	}
@@ -316,6 +318,7 @@ func TestRoundTripProperty(t *testing.T) {
 		want.HasHopLimit = want.HasHopLimit || want.HopLimit != 0
 		want.HasHopCount = want.HasHopCount || want.HopCount != 0
 		want.HasSeqNum = want.HasSeqNum || want.SeqNum != 0
+		want.wire = wire
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -421,5 +424,81 @@ func BenchmarkDecodeHello(b *testing.B) {
 		if _, err := DecodeMessage(wire); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPatchedEncodingFollowsHeaderEdits checks the encoder's patch path
+// against re-encoding when a Forward copy of a decoded message also changes
+// header fields other than the hop fields: those must not be lost to the
+// copied wire bytes.
+func TestPatchedEncodingFollowsHeaderEdits(t *testing.T) {
+	wire, err := EncodeMessage(sampleHello())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := map[string]func(*Message){
+		"none":         func(*Message) {},
+		"hops":         func(m *Message) { m.HopLimit, m.HopCount = 7, 3 },
+		"seqnum":       func(m *Message) { m.SeqNum++ },
+		"originator":   func(m *Message) { m.Originator = addr("10.0.0.99") },
+		"type":         func(m *Message) { m.Type = MsgTC },
+		"no hop limit": func(m *Message) { m.HopLimit, m.HasHopLimit = 0, false },
+		"no seqnum":    func(m *Message) { m.SeqNum, m.HasSeqNum = 0, false },
+	}
+	for name, edit := range edits {
+		m, err := DecodeMessage(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Wire() == nil {
+			t.Fatal("encoder output decoded without its wire bytes")
+		}
+		fwd := m.Forward()
+		edit(fwd)
+		deep := m.Clone()
+		deep.HopLimit--
+		deep.HopCount++
+		edit(deep)
+		got, err := EncodeMessage(fwd)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := EncodeMessage(deep)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: patched % x, re-encoded % x", name, got, want)
+		}
+	}
+}
+
+// TestDecodedMessageEncodesFromFields checks that only Forward copies are
+// patched: a decoded message, or a plain copy of one, is encoded from its
+// fields, so a body that differs from the wire bytes is what gets sent.
+func TestDecodedMessageEncodesFromFields(t *testing.T) {
+	wire, err := EncodeMessage(sampleHello())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeMessage(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Wire() == nil || m.Forward().Wire() != nil {
+		t.Fatal("Wire() must be set on a decoded message and nil on its Forward copy")
+	}
+	copied := *m
+	copied.TLVs = []TLV{{Type: TLVWillingness, Value: []byte{7}}}
+	got, err := EncodeMessage(&copied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeMessage(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.TLVs) != 1 || back.TLVs[0].Type != TLVWillingness {
+		t.Fatalf("encoded copy lost its new TLVs: %+v", back.TLVs)
 	}
 }

@@ -87,6 +87,9 @@ type Stats struct {
 	DataBuffered  uint64
 	DataDropped   uint64 // TTL exhaustion, buffer overflow, buffer timeout
 	DecodeErrors  uint64
+	// CtrlDecoded counts control frames this node decoded itself; the
+	// other receivers of a broadcast share the first receiver's decoding.
+	CtrlDecoded uint64
 }
 
 // System is the System CF. It is built on the generic ManetProtocol CF
@@ -260,11 +263,14 @@ func (s *System) sendControl(ev *event.Event) error {
 	battery := s.battery
 	s.mu.Unlock()
 
-	pkt := &packetbb.Packet{SeqNum: seq, HasSeqNum: true, Messages: []packetbb.Message{*ev.Msg}}
-	wire, err := packetbb.EncodePacket(pkt)
+	pkt := packetbb.Packet{SeqNum: seq, HasSeqNum: true, Messages: []packetbb.Message{*ev.Msg}}
+	bp := txBufs.Get().(*[]byte)
+	defer txBufs.Put(bp)
+	wire, err := packetbb.AppendPacket(append((*bp)[:0], wireControl), &pkt)
 	if err != nil {
 		return fmt.Errorf("system: encoding %s: %w", ev.Type, err)
 	}
+	*bp = wire
 	dst := ev.Dst
 	if dst.IsUnspecified() {
 		dst = mnet.Broadcast
@@ -272,12 +278,18 @@ func (s *System) sendControl(ev *event.Event) error {
 	if battery != nil {
 		battery.SpendFrame()
 	}
-	return s.nic.SendTagged(dst, append([]byte{wireControl}, wire...), ev.Corr)
+	// The medium copies the payload before Send returns, so the buffer
+	// goes back to the pool afterwards.
+	return s.nic.SendTagged(dst, wire, ev.Corr)
 }
+
+// txBufs holds sendControl's encode buffers.
+var txBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 // receive is the NIC upcall: it decodes frames and pushes the resulting
 // events up the framework (the paper's raising of events grounded in packet
-// capture).
+// capture). Every receiver of a broadcast is handed the same decoded
+// messages, which are read-only (see event.Event.Msg).
 func (s *System) receive(f emunet.Frame) {
 	s.mu.Lock()
 	s.lastRSSI[f.Src] = f.RSSI
@@ -289,7 +301,7 @@ func (s *System) receive(f emunet.Frame) {
 	}
 	switch f.Payload[0] {
 	case wireControl:
-		pkt, err := packetbb.DecodePacket(f.Payload[1:])
+		pkt, err := s.decodeControl(&f)
 		if err != nil {
 			s.bumpDecodeErr()
 			return
@@ -298,10 +310,10 @@ func (s *System) receive(f emunet.Frame) {
 		s.stats.CtrlReceived++
 		s.mu.Unlock()
 		for i := range pkt.Messages {
-			msg := pkt.Messages[i]
+			msg := &pkt.Messages[i]
 			_ = s.proto.Emit(&event.Event{
 				Type:   inEventType(msg.Type),
-				Msg:    &msg,
+				Msg:    msg,
 				Src:    f.Src,
 				Dst:    f.Dst,
 				Device: f.Device,
@@ -312,6 +324,30 @@ func (s *System) receive(f emunet.Frame) {
 	default:
 		s.bumpDecodeErr()
 	}
+}
+
+// decodeControl returns the control frame's decoded packet: the one its
+// transmission's first receiver stored in the frame's memo, or a fresh
+// decoding that aliases the payload (the medium never modifies a delivered
+// payload).
+func (s *System) decodeControl(f *emunet.Frame) (*packetbb.Packet, error) {
+	memo := f.Memo()
+	if memo != nil {
+		if pkt, ok := memo.Load().(*packetbb.Packet); ok {
+			return pkt, nil
+		}
+	}
+	s.mu.Lock()
+	s.stats.CtrlDecoded++
+	s.mu.Unlock()
+	pkt, err := packetbb.DecodePacketView(f.Payload[1:])
+	if err != nil {
+		return nil, err
+	}
+	if memo != nil {
+		memo.Store(pkt)
+	}
+	return pkt, nil
 }
 
 func (s *System) bumpDecodeErr() {

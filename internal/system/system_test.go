@@ -23,7 +23,7 @@ type node struct {
 	sys  *System
 }
 
-func newTestNet(t *testing.T, n int) (*emunet.Network, *vclock.Virtual, []*node) {
+func newTestNet(t testing.TB, n int) (*emunet.Network, *vclock.Virtual, []*node) {
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
 	net := emunet.New(clk, 1)
@@ -442,4 +442,156 @@ func TestDecodeErrorsCounted(t *testing.T) {
 	if st := nodes[1].sys.Stats(); st.DecodeErrors != 3 {
 		t.Fatalf("DecodeErrors = %d", st.DecodeErrors)
 	}
+}
+
+// newStar links node 0 of n to every other node and deploys a HELLO
+// consumer on each receiver that hands its events to record.
+func newStar(t testing.TB, n int, record func(*event.Event)) (*emunet.Network, *vclock.Virtual, []*node) {
+	t.Helper()
+	net, clk, nodes := newTestNet(t, n)
+	for _, nd := range nodes[1:] {
+		if err := net.SetLink(nodes[0].addr, nd.addr, emunet.DefaultQuality()); err != nil {
+			t.Fatal(err)
+		}
+		consumer := core.NewProtocol("nbr")
+		consumer.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
+		err := consumer.AddHandler(core.NewHandler("h", event.HelloIn, func(ctx *core.Context, ev *event.Event) error {
+			record(ev)
+			return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := nd.mgr.Deploy(consumer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return net, clk, nodes
+}
+
+// helloFrame is a control payload carrying one HELLO from orig.
+func helloFrame(t testing.TB, orig mnet.Addr) []byte {
+	t.Helper()
+	wire, err := packetbb.AppendPacket([]byte{wireControl}, &packetbb.Packet{
+		SeqNum: 1, HasSeqNum: true,
+		Messages: []packetbb.Message{{
+			Type: packetbb.MsgHello, Originator: orig, HopLimit: 1, SeqNum: 9,
+			TLVs: []packetbb.TLV{{Type: packetbb.TLVWillingness, Value: packetbb.U8(3)}},
+			AddrBlocks: []packetbb.AddrBlock{{
+				Addrs: []mnet.Addr{emunet.Addrs(3)[1], emunet.Addrs(3)[2]},
+				TLVs:  []packetbb.AddrTLV{{Type: packetbb.ATLVLinkStatus, IndexStart: 0, IndexStop: 1, Value: packetbb.U8(packetbb.LinkStatusSymmetric)}},
+			}},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// TestBroadcastDecodesOnce checks that one broadcast is decoded once for
+// all its receivers, which share the decoded message, while a corrupted
+// delivery is decoded from its own bytes and counted as before.
+func TestBroadcastDecodesOnce(t *testing.T) {
+	for _, corrupt := range []float64{0, 0.3, 0.5, 1} {
+		var got []*event.Event
+		net, clk, nodes := newStar(t, 5, func(ev *event.Event) { got = append(got, ev) })
+		if corrupt > 0 {
+			emunet.NewFaultPlan(7).CorruptFrames(0, time.Second, corrupt).Apply(net)
+		}
+		// What the receivers must account for, judged per delivery from its
+		// own bytes.
+		var clean, corruptCtrl, decodable, undecodable int
+		net.SetTap(func(f emunet.Frame, _ mnet.Addr) {
+			body, ok := ControlBody(f.Payload)
+			if !ok {
+				return
+			}
+			if f.Corrupted {
+				corruptCtrl++
+			} else {
+				clean++
+			}
+			if _, err := packetbb.DecodePacket(body); err != nil {
+				undecodable++
+			} else {
+				decodable++
+			}
+		})
+		if err := nodes[0].sys.NIC().Send(mnet.Broadcast, helloFrame(t, nodes[0].addr)); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(50 * time.Millisecond)
+
+		var decoded, received, decodeErrs int
+		for _, nd := range nodes[1:] {
+			st := nd.sys.Stats()
+			decoded += int(st.CtrlDecoded)
+			received += int(st.CtrlReceived)
+			decodeErrs += int(st.DecodeErrors)
+		}
+		wantDecoded := corruptCtrl
+		if clean > 0 {
+			wantDecoded++
+		}
+		if decoded != wantDecoded || received != decodable || decodeErrs < undecodable {
+			t.Fatalf("corrupt=%v: %d clean and %d corrupted control deliveries (%d undecodable): "+
+				"decoded %d (want %d), received %d (want %d), decode errors %d",
+				corrupt, clean, corruptCtrl, undecodable, decoded, wantDecoded, received, decodable, decodeErrs)
+		}
+		if len(got) != received {
+			t.Fatalf("corrupt=%v: %d HELLO events for %d received frames", corrupt, len(got), received)
+		}
+		if corrupt == 0 {
+			if clean != 4 || decoded != 1 {
+				t.Fatalf("clean broadcast to 4 receivers decoded %d times", decoded)
+			}
+			for _, ev := range got[1:] {
+				if ev.Msg != got[0].Msg {
+					t.Fatal("receivers of one broadcast were handed different messages")
+				}
+			}
+		}
+		if corrupt == 1 && clean != 0 {
+			t.Fatalf("all-corrupt window left %d clean deliveries", clean)
+		}
+		t.Logf("corrupt=%v: clean %d, corrupted %d, undecodable %d, decoded %d", corrupt, clean, corruptCtrl, undecodable, decoded)
+	}
+}
+
+// broadcastOnce sends one HELLO from node 0 of a star and delivers it to
+// every receiver — the System CF receive path of one broadcast.
+func broadcastOnce(tb testing.TB, clk *vclock.Virtual, nodes []*node, wire []byte) {
+	if err := nodes[0].sys.NIC().Send(mnet.Broadcast, wire); err != nil {
+		tb.Fatal(err)
+	}
+	clk.Advance(10 * time.Millisecond)
+}
+
+// receiveAllocCeiling bounds the allocations of one HELLO broadcast to four
+// receivers: the medium's payload copy and decode memo, one decoding
+// (packet, TLVs, address block, addresses, address TLVs), one event per
+// receiver, and the clock's delivery timer.
+const receiveAllocCeiling = 12
+
+func TestSystemReceiveBroadcastAllocs(t *testing.T) {
+	_, clk, nodes := newStar(t, 5, func(*event.Event) {})
+	wire := helloFrame(t, nodes[0].addr)
+	broadcastOnce(t, clk, nodes, wire)
+	allocs := testing.AllocsPerRun(50, func() { broadcastOnce(t, clk, nodes, wire) })
+	if allocs > receiveAllocCeiling {
+		t.Fatalf("one broadcast to 4 receivers allocates %.1f times, want <= %d", allocs, receiveAllocCeiling)
+	}
+}
+
+func BenchmarkSystemReceiveBroadcast(b *testing.B) {
+	_, clk, nodes := newStar(b, 5, func(*event.Event) {})
+	wire := helloFrame(b, nodes[0].addr)
+	broadcastOnce(b, clk, nodes, wire)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		broadcastOnce(b, clk, nodes, wire)
+	}
+	b.ReportMetric(float64(b.N*4)/b.Elapsed().Seconds(), "rx/s")
 }

@@ -260,7 +260,7 @@ func (z *ZRP) Routes() *route.Table { return z.state.Routes }
 // the first hop towards it.
 func (z *ZRP) zoneDistance(self, dst mnet.Addr) (dist int, via mnet.Addr) {
 	links := z.relay.State().Links
-	if nb, ok := links.Get(dst); ok && nb.Status == neighbor.StatusSymmetric {
+	if links.Status(dst) == neighbor.StatusSymmetric {
 		return 1, dst
 	}
 	if vias, ok := links.TwoHopSet(self)[dst]; ok && len(vias) > 0 {
@@ -473,11 +473,8 @@ func (z *ZRP) onRREQ(ctx *core.Context, ev *event.Event) error {
 	if msg.HopLimit <= 1 {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
 	z.state.bump(func(st *Stats) { st.RREQForwards++ })
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: mnet.Broadcast})
+	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg.Forward(), Dst: mnet.Broadcast})
 	return nil
 }
 
@@ -514,10 +511,7 @@ func (z *ZRP) onRREP(ctx *core.Context, ev *event.Event) error {
 	if err != nil || msg.HopLimit <= 1 {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: p.NextHop})
+	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg.Forward(), Dst: p.NextHop})
 	return nil
 }
 
